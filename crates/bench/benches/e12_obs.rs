@@ -2,8 +2,8 @@
 //!
 //! The tracing layer promises "within noise" on the serve paths, and
 //! this bench is the proof: the E5 query set runs through the governed
-//! monolithic engine (the E5 serve path) and through the sharded
-//! work-stealing batch scheduler (the E9 serve path), each twice —
+//! monolithic engine (the E5 serve path) and through the sharded batch
+//! pool (the E9 serve path), each twice —
 //! once with the default instrumentation (per-query span ring, stage
 //! windows, registry observation) and once with [`ObsConfig::off`]
 //! (every record site reduces to one branch, the clock is never read).
@@ -146,8 +146,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
         });
     }
 
-    // E9 serve path: sharded work-stealing batch scheduler (includes
-    // worker-local recorder merge-at-join and registry observation).
+    // E9 serve path: the sharded batch pool (includes registry
+    // observation).
     let shards = 4;
     let mut sharded = build_sharded_system(&world, &cfg, shards);
     let batch: Vec<Query> = queries
@@ -158,13 +158,13 @@ fn bench_obs_overhead(c: &mut Criterion) {
             q
         })
         .collect();
-    // Same interleaved A/B over the batch scheduler.
+    // Same interleaved A/B over the batch pool.
     {
         let mut sweep = |on: bool| -> u64 {
             sharded.set_obs(if on { ObsConfig::default() } else { ObsConfig::off() });
             let t0 = std::time::Instant::now();
             let total: usize = sharded
-                .run_batch_stealing(batch.clone(), Engine::IncrementalTopK, shards)
+                .run_batch_with_workers(batch.clone(), Engine::IncrementalTopK, shards)
                 .into_iter()
                 .map(|o| o.expect("no worker panicked").answers.len())
                 .sum();
@@ -200,7 +200,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     for (mode, obs) in modes() {
         sharded.set_obs(obs);
-        let outcomes = sharded.run_batch_stealing(batch.clone(), Engine::IncrementalTopK, shards);
+        let outcomes =
+            sharded.run_batch_with_workers(batch.clone(), Engine::IncrementalTopK, shards);
         let (mut spans, mut dropped) = (0u64, 0u64);
         for o in &outcomes {
             let o = o.as_ref().expect("no worker panicked");
@@ -212,10 +213,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
              \"spans\": {spans}, \"dropped\": {dropped}}}",
             batch.len()
         );
-        group.bench_function(BenchmarkId::new("sharded_steal", mode), |b| {
+        group.bench_function(BenchmarkId::new("sharded_pool", mode), |b| {
             b.iter(|| {
                 sharded
-                    .run_batch_stealing(batch.clone(), Engine::IncrementalTopK, shards)
+                    .run_batch_with_workers(batch.clone(), Engine::IncrementalTopK, shards)
                     .into_iter()
                     .map(|o| o.expect("no worker panicked").answers.len())
                     .sum::<usize>()

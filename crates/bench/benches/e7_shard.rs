@@ -3,9 +3,10 @@
 //!
 //! Each shard count builds the same world into a system whose store is
 //! hash-partitioned into that many shards; the workload pushes the full
-//! E5 query set (at the E5 k sweep) through [`Trinit::run_batch`],
-//! which executes queries concurrently across a worker pool sized to
-//! the shard count. Shard count 1 is the monolithic reference: its pool
+//! E5 query set (at the E5 k sweep) through
+//! [`Trinit::run_batch_with_workers`], which executes queries
+//! concurrently across a worker pool pinned to the shard count. Shard
+//! count 1 is the monolithic reference: its pool
 //! has one worker and its engine is the unsharded top-k path, so the
 //! curve reads directly as "what does adding shards buy".
 //!

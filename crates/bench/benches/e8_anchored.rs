@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use trinit_query::exec::topk::{self, TopkConfig};
 use trinit_query::QueryBuilder;
 use trinit_relax::{QTerm, RuleSet};
-use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
+use trinit_shard::{ShardedExecutor, ShardedStore};
 use trinit_xkg::{PostingList, SlotPattern, XkgBuilder, XkgStore};
 
 const SUBJECTS: u32 = 3000;
@@ -140,7 +140,7 @@ fn bench_anchored_topk(c: &mut Criterion) {
         b.iter(|| {
             queries
                 .iter()
-                .map(|q| exec.run(q, &rules, &cfg, SeedMode::Off).answers.len())
+                .map(|q| exec.run(q, &rules, &cfg).answers.len())
                 .sum::<usize>()
         })
     });

@@ -1,21 +1,12 @@
-//! E9 bench: the staged-pipeline payoffs — work-stealing batch
-//! scheduling vs the fixed pool, and ε-approximate top-k pull
-//! reduction.
+//! E9 bench: the staged-pipeline payoffs — sharded batch throughput
+//! through the batch pool, and ε-approximate top-k pull reduction.
 //!
-//! **Batch scheduling** pushes the E5 query set (k sweep) through a
-//! sharded system twice per shard count: once through the fixed
+//! **Batch throughput** pushes the E5 query set (k sweep) through a
+//! sharded system per shard count, via the
 //! [`QueryPool`](trinit_shard::QueryPool) path
-//! (`run_batch_with_workers`, seed phase skipped — the PR-3 batch
-//! surface) and once through the work-stealing seed-task scheduler
-//! (`run_batch_stealing`, every query's per-shard seeds spread across
-//! the worker set, merge driven by the last seed finisher). On a
-//! single-core runner the numbers read as *total work* — the stealing
-//! path deliberately spends extra seed work to buy per-query latency
-//! and a tighter merge threshold, so its single-core ratio quantifies
-//! that investment; on a multi-core runner the same run reads as
-//! wall-clock. `E9_METRICS` lines report each mode's engine counters
-//! (pulls, postings scanned, seed steals) for the work-level
-//! comparison.
+//! (`run_batch_with_workers`, one worker per shard). `E9_METRICS` lines
+//! report the engine counters (pulls, postings scanned) for the
+//! work-level comparison.
 //!
 //! **ε mode** runs the same query set monolithically at ε ∈ {0, 0.01,
 //! 0.05} with k = 50 (above most answer counts, the regime where the
@@ -31,7 +22,7 @@ use trinit_eval::{
 use trinit_query::exec::topk::{self, TopkConfig};
 use trinit_query::Query;
 
-fn bench_steal_vs_pool(c: &mut Criterion) {
+fn bench_batch_pool(c: &mut Criterion) {
     let cfg = EvalConfig {
         seed: 42,
         scale: 0.08,
@@ -66,29 +57,19 @@ fn bench_steal_vs_pool(c: &mut Criterion) {
                 })
             })
             .collect();
-        // Work-level counters per mode, printed once for BENCH_e9.json.
-        for (mode, outcomes) in [
-            (
-                "pool",
-                system.run_batch_with_workers(batch.clone(), Engine::IncrementalTopK, shards),
-            ),
-            (
-                "steal",
-                system.run_batch_stealing(batch.clone(), Engine::IncrementalTopK, shards),
-            ),
-        ] {
-            let outcomes: Vec<_> = outcomes
-                .iter()
-                .map(|o| o.as_ref().expect("no worker panicked"))
-                .collect();
-            let pulls: usize = outcomes.iter().map(|o| o.metrics.pulls).sum();
-            let scanned: usize = outcomes.iter().map(|o| o.metrics.postings_scanned).sum();
-            let steals: usize = outcomes.iter().map(|o| o.metrics.seed_steals).sum();
-            println!(
-                "E9_METRICS {{\"shards\": {shards}, \"mode\": \"{mode}\", \"pulls\": {pulls}, \
-                 \"postings_scanned\": {scanned}, \"seed_steals\": {steals}}}"
-            );
-        }
+        // Work-level counters, printed once for BENCH_e9.json.
+        let outcomes =
+            system.run_batch_with_workers(batch.clone(), Engine::IncrementalTopK, shards);
+        let outcomes: Vec<_> = outcomes
+            .iter()
+            .map(|o| o.as_ref().expect("no worker panicked"))
+            .collect();
+        let pulls: usize = outcomes.iter().map(|o| o.metrics.pulls).sum();
+        let scanned: usize = outcomes.iter().map(|o| o.metrics.postings_scanned).sum();
+        println!(
+            "E9_METRICS {{\"shards\": {shards}, \"mode\": \"pool\", \"pulls\": {pulls}, \
+             \"postings_scanned\": {scanned}}}"
+        );
         group.bench_function(BenchmarkId::new("batch_pool", shards), |b| {
             b.iter(|| {
                 let outcomes = system.run_batch_with_workers(
@@ -96,16 +77,6 @@ fn bench_steal_vs_pool(c: &mut Criterion) {
                     Engine::IncrementalTopK,
                     shards,
                 );
-                outcomes
-                    .iter()
-                    .map(|o| o.as_ref().expect("no worker panicked").answers.len())
-                    .sum::<usize>()
-            })
-        });
-        group.bench_function(BenchmarkId::new("batch_steal", shards), |b| {
-            b.iter(|| {
-                let outcomes =
-                    system.run_batch_stealing(batch.clone(), Engine::IncrementalTopK, shards);
                 outcomes
                     .iter()
                     .map(|o| o.as_ref().expect("no worker panicked").answers.len())
@@ -172,5 +143,5 @@ fn bench_epsilon_pulls(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_steal_vs_pool, bench_epsilon_pulls);
+criterion_group!(benches, bench_batch_pool, bench_epsilon_pulls);
 criterion_main!(benches);

@@ -168,7 +168,6 @@ impl<'a> Session<'a> {
                 engine,
                 &self.rules,
                 Some(&self.shard_caches),
-                trinit_shard::SeedMode::Parallel,
             )
         } else {
             self.system

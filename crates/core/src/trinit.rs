@@ -15,15 +15,15 @@ use trinit_query::exec::segmented::SegmentedExec;
 use trinit_query::exec::sharded::{run_partitioned, PartitionedRun};
 use trinit_query::exec::{exact, expand, topk};
 use trinit_query::{
-    Answer, AnswerCollector, BudgetTracker, Completeness, ExecError, ExecMetrics, Governor,
-    Query, SharedCacheStats, SharedPostingCache, TopkConfig,
+    Answer, AnswerCollector, BudgetTracker, Completeness, ExecError, ExecMetrics, Query,
+    SharedCacheStats, SharedPostingCache, TopkConfig,
 };
 use trinit_relax::{
     ConditionOracle, CooccurrenceOperator, ExpandOptions, GranularityMinerConfig,
     GranularityOperator, MinerConfig, OperatorRegistry, ParaphraseGroup, ParaphraseOperator,
     RelaxationOperator, RuleSet,
 };
-use trinit_shard::{QueryPool, SeedMode, ShardedExecutor, ShardedStore};
+use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
 use trinit_worldgen::corpus::generate_corpus;
 use trinit_worldgen::{alias_catalog, project_kg, CorpusConfig, KgConfig, World};
 use trinit_xkg::{GraphTag, SegmentLayout, SegmentedStore, XkgBuilder, XkgStore};
@@ -60,11 +60,10 @@ pub struct QueryOutcome {
     /// Top-k answers, best first.
     pub answers: Vec<Answer>,
     /// Work counters of the engine — for sharded systems, the aggregate
-    /// over the per-shard seed runs and the cross-shard merge.
+    /// over every shard's share of the cross-shard merge.
     pub metrics: ExecMetrics,
     /// Per-shard work breakdown (empty on single-store systems): shard
-    /// `i`'s seed-phase run plus its share of the merge phase's posting
-    /// work.
+    /// `i`'s share of the merge's posting work.
     pub shard_metrics: Vec<ExecMetrics>,
     /// What the ranking is guaranteed to be relative to the exact
     /// engine: [`Completeness::Exact`] unless a budget cutoff or an
@@ -73,10 +72,11 @@ pub struct QueryOutcome {
     /// completion by construction).
     pub completeness: Completeness,
     /// Per-stage execution trace of the run: the enclosing query span,
-    /// per-variant spans, per-shard seed-task spans, windowed pull and
-    /// election batches, and threshold / cutoff point events. Empty when
-    /// tracing is disabled ([`Trinit::set_obs`]) or the engine ran a
-    /// non-traced path (`Exact` / `FullExpansion` on a frozen monolith).
+    /// the merge span on sharded systems, per-variant spans, windowed
+    /// pull and election batches, and threshold / cutoff point events.
+    /// Empty when tracing is disabled ([`Trinit::set_obs`]) or the
+    /// engine ran a non-traced path (`Exact` / `FullExpansion` on a
+    /// frozen monolith).
     pub trace: QueryTrace,
 }
 
@@ -167,9 +167,7 @@ impl Default for BuildOptions {
 impl BuildOptions {
     /// Selects a sharded build: the XKG is hash-partitioned by subject
     /// across `n` store shards at build time, queries route through the
-    /// partitioned top-k engine, and [`Trinit::run_batch`] executes
-    /// independent queries concurrently across a pool sized to the
-    /// shard count. `n ≤ 1` keeps the monolithic store.
+    /// partitioned top-k engine. `n ≤ 1` keeps the monolithic store.
     pub fn shards(&mut self, n: usize) -> &mut Self {
         self.shard_count = n.max(1);
         self
@@ -698,9 +696,9 @@ impl Trinit {
     /// The rule set an engine variant executes with on the sharded
     /// path: `Exact` runs the partitioned engine with no rules (top-k
     /// without rules reduces to exact evaluation); the relaxing engines
-    /// use `rules` as given. The single mapping the batch schedulers
-    /// and per-query sharded execution share — `scratch` hosts the
-    /// empty set for the `Exact` case.
+    /// use `rules` as given. The single mapping the sharded and
+    /// segmented paths share — `scratch` hosts the empty set for the
+    /// `Exact` case.
     fn engine_rules<'s>(
         engine: Engine,
         rules: &'s RuleSet,
@@ -790,7 +788,6 @@ impl Trinit {
                     engine,
                     rules,
                     self.shard_caches.as_deref(),
-                    SeedMode::Parallel,
                 )
             }
         };
@@ -883,8 +880,7 @@ impl Trinit {
             // The store-level cache holds frozen-base lists; the delta
             // slice (rebuilt every ingest) runs uncached.
             cache.map(std::slice::from_ref),
-            Vec::new(),
-            Governor::primary(tracker),
+            tracker,
             restrict.map(|j| (j, 1..2)),
             recorder,
         )
@@ -1079,7 +1075,6 @@ impl Trinit {
         engine: Engine,
         rules: &RuleSet,
         caches: Option<&[SharedPostingCache]>,
-        seed: SeedMode,
     ) -> QueryOutcome {
         let Backend::Sharded(sharded) = &self.backend else {
             panic!("run_with_rules_shard_cached requires a sharded system");
@@ -1096,7 +1091,7 @@ impl Trinit {
         let mut scratch = None;
         let rules = Self::engine_rules(engine, rules, &mut scratch);
         let wall_start = now_ns();
-        let run = executor.run(&query, rules, &self.topk, seed);
+        let run = executor.run(&query, rules, &self.topk);
         let outcome = QueryOutcome {
             query,
             answers: run.answers,
@@ -1112,104 +1107,22 @@ impl Trinit {
     /// Executes a batch of independent queries concurrently and returns
     /// their outcomes in input order.
     ///
-    /// On a sharded system the scheduling adapts to where the
-    /// parallelism budget actually goes. A batch with at least as many
-    /// queries as workers keeps every worker busy on whole queries, so
-    /// it runs through the fixed pool with the seed phase skipped — the
-    /// throughput path; spending per-shard seed work there buys no
-    /// latency, it only doubles the work. A batch *smaller* than the
-    /// worker set is exactly where workers would otherwise idle, so it
-    /// routes through the **work-stealing batch scheduler**
-    /// ([`Trinit::run_batch_stealing`]): the unit of scheduling becomes
-    /// one per-shard *seed task*, idle workers lift the remaining seed
-    /// work of in-flight queries, and each query's merge starts the
-    /// moment its own seeds finish, with a collector pre-loaded from
-    /// them ([`ExecMetrics::seed_steals`] reports the stolen tasks per
-    /// query). Monolithic systems use a fixed pool over the available
-    /// hardware parallelism (whole queries are their only unit of
-    /// work). Every mode returns identical answers.
+    /// Every batch runs through one [`QueryPool`] of whole queries, one
+    /// worker per hardware thread on either backend. Each query takes
+    /// the same path as [`Trinit::run`], so answers equal per-query
+    /// runs.
     ///
     /// Worker panics are isolated per query: a query whose execution
-    /// panicked yields [`ExecError::WorkerPanicked`] in its slot while
-    /// every other query in the batch completes normally — a batch
-    /// never aborts the process.
+    /// panicked yields [`ExecError::WorkerPanicked`] in its slot (and
+    /// counts in [`Counter::QueryFailures`]) while every other query in
+    /// the batch completes normally — a batch never aborts the process.
     pub fn run_batch(
         &self,
         queries: Vec<Query>,
         engine: Engine,
     ) -> Vec<Result<QueryOutcome, ExecError>> {
-        match &self.backend {
-            Backend::Sharded(sharded) => {
-                let workers = sharded.shard_count();
-                if queries.len() < workers {
-                    self.run_batch_stealing(queries, engine, workers)
-                } else {
-                    self.run_batch_with_workers(queries, engine, workers)
-                }
-            }
-            Backend::Single(_) => {
-                let workers = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1);
-                self.run_batch_with_workers(queries, engine, workers)
-            }
-        }
-    }
-
-    /// Executes a batch through the work-stealing seed-task scheduler
-    /// with an explicit worker count (see [`Trinit::run_batch`]).
-    /// Answers are identical to every other batch mode; only the work
-    /// placement differs. Monolithic systems have no per-shard seed
-    /// tasks to steal and fall back to the fixed pool.
-    pub fn run_batch_stealing(
-        &self,
-        queries: Vec<Query>,
-        engine: Engine,
-        workers: usize,
-    ) -> Vec<Result<QueryOutcome, ExecError>> {
-        let Backend::Sharded(sharded) = &self.backend else {
-            return self.run_batch_with_workers(queries, engine, workers);
-        };
-        let mut executor = ShardedExecutor::new(sharded);
-        if let Some(caches) = self.shard_caches.as_deref() {
-            for cache in caches {
-                cache.ensure_generation(sharded.generation());
-            }
-            executor = executor.with_caches(caches);
-        }
-        let mut scratch = None;
-        let rules = Self::engine_rules(engine, &self.rules, &mut scratch);
-        let runs = executor.run_batch_stealing_observed(
-            &queries,
-            rules,
-            &self.topk,
-            workers,
-            Some(&self.registry),
-        );
-        queries
-            .into_iter()
-            .zip(runs)
-            .map(|(query, run)| match run {
-                Ok(run) => {
-                    let outcome = QueryOutcome {
-                        query,
-                        answers: run.answers,
-                        metrics: run.metrics,
-                        shard_metrics: run.per_shard,
-                        completeness: run.completeness,
-                        trace: run.trace,
-                    };
-                    // Batch wall clocks overlap across queries; only the
-                    // per-stage spans and counters are registered here.
-                    self.observe_outcome(&outcome, None);
-                    Ok(outcome)
-                }
-                Err(err) => {
-                    self.registry.incr(Counter::QueryFailures);
-                    Err(err)
-                }
-            })
-            .collect()
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.run_batch_with_workers(queries, engine, workers)
     }
 
     /// [`Trinit::run_batch`] with an explicit worker count (benchmarks
@@ -1221,20 +1134,8 @@ impl Trinit {
         engine: Engine,
         workers: usize,
     ) -> Vec<Result<QueryOutcome, ExecError>> {
-        let pool = QueryPool::new(workers);
-        let results = match &self.backend {
-            Backend::Single(_) => pool.try_execute(queries, |q| self.run(q, engine)),
-            Backend::Sharded(_) => pool.try_execute(queries, |q| {
-                self.run_with_rules_shard_cached(
-                    q,
-                    engine,
-                    &self.rules,
-                    self.shard_caches.as_deref(),
-                    SeedMode::Off,
-                )
-            }),
-        };
-        // Successful slots were observed by the per-query paths above;
+        let results = QueryPool::new(workers).try_execute(queries, |q| self.run(q, engine));
+        // Successful slots were observed by the per-query path above;
         // panicked slots only surface here.
         for result in &results {
             if result.is_err() {
@@ -1456,6 +1357,7 @@ mod tests {
             let b = sharded.query(q).unwrap();
             assert_eq!(a.answers.len(), b.answers.len(), "{q}");
             for (x, y) in a.answers.iter().zip(&b.answers) {
+                assert_eq!(x.key, y.key, "{q}: answer keys differ");
                 assert!((x.score - y.score).abs() < 1e-9, "{q}: scores differ");
             }
             assert_eq!(b.shard_metrics.len(), 4, "per-shard metrics surface");
@@ -1467,22 +1369,26 @@ mod tests {
     fn sharded_routing_covers_every_engine() {
         let mono = tiny_system();
         let sharded = tiny_sharded_system(2);
-        for engine in [Engine::Exact, Engine::FullExpansion, Engine::IncrementalTopK] {
-            let q1 = mono.parse("?x type person LIMIT 6").unwrap();
-            let q2 = sharded.parse("?x type person LIMIT 6").unwrap();
-            let a = mono.run(q1, engine);
-            let b = sharded.run(q2, engine);
-            // Exact and top-k agree across backends; full expansion's
-            // answer set is engine-equivalent under the topk budget, so
-            // compare the exact subset it must contain.
-            if engine != Engine::FullExpansion {
-                assert_eq!(a.answers.len(), b.answers.len(), "{engine:?}");
-            }
-            for x in a.answers.iter().filter(|x| x.derivation.is_exact()) {
-                assert!(
-                    b.answers.iter().any(|y| y.key == x.key),
-                    "{engine:?}: exact answer lost"
-                );
+        for text in ["?x type person LIMIT 6", "?x ?p ?y LIMIT 6"] {
+            for engine in [
+                Engine::Exact,
+                Engine::FullExpansion,
+                Engine::IncrementalTopK,
+            ] {
+                let a = mono.run(mono.parse(text).unwrap(), engine);
+                let b = sharded.run(sharded.parse(text).unwrap(), engine);
+                // Exact and top-k agree across backends; full expansion's
+                // answer set is engine-equivalent under the topk budget, so
+                // compare the exact subset it must contain.
+                if engine != Engine::FullExpansion {
+                    assert_eq!(a.answers.len(), b.answers.len(), "{text} {engine:?}");
+                }
+                for x in a.answers.iter().filter(|x| x.derivation.is_exact()) {
+                    assert!(
+                        b.answers.iter().any(|y| y.key == x.key),
+                        "{text} {engine:?}: exact answer lost"
+                    );
+                }
             }
         }
     }
@@ -1510,27 +1416,6 @@ mod tests {
                 for (x, y) in got.answers.iter().zip(want) {
                     assert!((x.score - y.score).abs() < 1e-9);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn small_batches_route_through_stealing_with_identical_answers() {
-        // Fewer queries than workers: run_batch takes the seed-stealing
-        // path (idle workers exist); at or above the worker count it
-        // takes the fixed pool. Both must agree with per-query runs —
-        // and with each other.
-        let sys = tiny_sharded_system(3);
-        let texts = ["?x type person LIMIT 4", "?x type university LIMIT 3"];
-        let queries: Vec<Query> = texts.iter().map(|t| sys.parse(t).unwrap()).collect();
-        let sequential: Vec<_> = texts.iter().map(|t| sys.query(t).unwrap().answers).collect();
-        let small = sys.run_batch(queries.clone(), Engine::IncrementalTopK);
-        let explicit = sys.run_batch_stealing(queries, Engine::IncrementalTopK, 3);
-        for (got, want) in small.iter().chain(&explicit).zip(sequential.iter().cycle()) {
-            let got = got.as_ref().expect("no worker panicked");
-            assert_eq!(got.answers.len(), want.len());
-            for (x, y) in got.answers.iter().zip(want) {
-                assert!((x.score - y.score).abs() < 1e-9);
             }
         }
     }

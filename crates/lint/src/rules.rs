@@ -50,8 +50,7 @@ pub const UNSAFE_ALLOWED_FILES: &[&str] = &[];
 pub const FLOAT_ORDERING_ALLOWED_FILES: &[&str] = &[];
 
 /// True for the serving hot paths `no-panic-hot-path` governs: every
-/// top-k pipeline stage, the sharded execution/scheduling/storage
-/// layer, and the xkg store's serving structures (posting lists,
+/// top-k pipeline stage, the sharded execution/storage layer, and the xkg store's serving structures (posting lists,
 /// permutation indexes, segment resolution) — the packed readers added
 /// with the compact layout must degrade on bad offsets, not panic.
 /// Panics here escape to `catch_unwind` boundaries at best and poison
@@ -61,7 +60,6 @@ fn is_hot_path(rel: &str) -> bool {
         || matches!(
             rel,
             "crates/shard/src/exec.rs"
-                | "crates/shard/src/schedule.rs"
                 | "crates/shard/src/store.rs"
                 | "crates/xkg/src/posting.rs"
                 | "crates/xkg/src/segment.rs"

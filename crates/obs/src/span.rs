@@ -6,7 +6,7 @@
 //! different threads order on one timeline). A [`TraceRecorder`] is a
 //! bounded ring buffer of spans owned by one execution path: workers
 //! record locally with no locks and no allocation past the ring's
-//! growth, and recorders merge at join points. [`TraceRecorder::off`]
+//! growth. [`TraceRecorder::off`]
 //! is the zero-overhead disabled mode — every record call reduces to
 //! one branch and the clock is never read.
 
@@ -39,7 +39,9 @@ pub enum Stage {
     Query,
     /// One relaxation variant's pipeline run (`detail` = variant index).
     Variant,
-    /// One per-shard seed task (`detail` = shard index).
+    /// One per-shard seed task (`detail` = shard index). The engine no
+    /// longer records it — sharded queries run the merge alone — but
+    /// the variant stays so existing consumers keep matching on it.
     SeedTask,
     /// Cross-shard merge election window (`detail` = elections).
     Election,
@@ -155,16 +157,6 @@ impl TraceRecorder {
         self.enabled
     }
 
-    /// An empty recorder with the same mode/capacity — hand one to
-    /// each worker, then [`merge`](TraceRecorder::merge) at join.
-    pub fn fork(&self) -> TraceRecorder {
-        if self.enabled {
-            TraceRecorder::with_capacity(self.capacity)
-        } else {
-            TraceRecorder::off()
-        }
-    }
-
     /// Span start timestamp: `now_ns()` when enabled, 0 when off.
     pub fn start(&self) -> u64 {
         if self.enabled {
@@ -225,24 +217,9 @@ impl TraceRecorder {
         self.dropped
     }
 
-    /// Total spans ever recorded (`len() + dropped()`): conserved by
-    /// [`merge`](TraceRecorder::merge).
+    /// Total spans ever recorded (`len() + dropped()`).
     pub fn recorded(&self) -> u64 {
         self.spans.len() as u64 + self.dropped
-    }
-
-    /// Fold a worker-local recorder into this one, oldest first.
-    /// Conserves `recorded()`: afterwards `self.recorded()` equals the
-    /// sum of both sides' prior totals (disabled recorders conserve
-    /// nothing by design).
-    pub fn merge(&mut self, other: &TraceRecorder) {
-        if !self.enabled {
-            return;
-        }
-        for span in other.ordered() {
-            self.push(*span);
-        }
-        self.dropped += other.dropped;
     }
 
     /// Held spans, oldest first (ring rotation applied).
@@ -347,23 +324,6 @@ mod tests {
         let t = r.finish();
         let details: Vec<u32> = t.spans.iter().map(|s| s.detail).collect();
         assert_eq!(details, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn merge_conserves_recorded_total() {
-        let mut a = TraceRecorder::with_capacity(8);
-        let mut b = a.fork();
-        for i in 0..5u32 {
-            a.record_span(SpanRecord { stage: Stage::SeedTask, detail: i, start_ns: 10 + i as u64, dur_ns: 2 });
-        }
-        for i in 0..12u32 {
-            b.record_span(SpanRecord { stage: Stage::JoinRound, detail: i, start_ns: i as u64, dur_ns: 1 });
-        }
-        let expect = a.recorded() + b.recorded();
-        a.merge(&b);
-        assert_eq!(a.recorded(), expect);
-        let t = a.finish();
-        assert_eq!(t.recorded(), expect);
     }
 
     #[test]

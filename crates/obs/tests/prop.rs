@@ -1,16 +1,13 @@
-//! Property tests for the histogram core and the trace recorder.
+//! Property tests for the histogram core.
 //!
-//! Pins the algebra the registry and the schedulers lean on: histogram
-//! merge is associative (and order-insensitive), quantiles are
-//! monotone in `q`, every bucket's bounds bracket the values mapped
-//! into it across the whole `u64` range, and recorder merge-at-join
-//! conserves the total recorded-span count no matter how workers
-//! interleave.
+//! Pins the algebra the registry leans on: histogram merge is
+//! associative (and order-insensitive), quantiles are monotone in `q`,
+//! and every bucket's bounds bracket the values mapped into it across
+//! the whole `u64` range.
 
 use proptest::prelude::*;
 
-use trinit_obs::span::SpanRecord;
-use trinit_obs::{Histogram, Stage, TraceRecorder};
+use trinit_obs::Histogram;
 
 /// Samples spread across the whole u64 range (bit-shifted so small
 /// strategies reach huge magnitudes).
@@ -110,35 +107,5 @@ proptest! {
             }
             assert!(found, "no bucket brackets {v}");
         }
-    }
-
-    /// Worker-local recorders merged at join conserve the total
-    /// recorded-span count (survivors + dropped) under any split of
-    /// spans across workers and any ring capacity.
-    #[test]
-    fn recorder_merge_conserves_samples(
-        capacity in 1usize..32,
-        worker_loads in proptest::collection::vec(0usize..50, 1..8),
-    ) {
-        let base = TraceRecorder::with_capacity(capacity);
-        let mut joined = base.fork();
-        let mut total = 0u64;
-        for (w, &load) in worker_loads.iter().enumerate() {
-            let mut local = base.fork();
-            for i in 0..load {
-                local.record_span(SpanRecord {
-                    stage: Stage::SeedTask,
-                    detail: w as u32,
-                    start_ns: i as u64,
-                    dur_ns: 1,
-                });
-            }
-            total += local.recorded();
-            joined.merge(&local);
-        }
-        assert_eq!(joined.recorded(), total);
-        let trace = joined.finish();
-        assert_eq!(trace.recorded(), total);
-        assert!(trace.spans.len() <= capacity);
     }
 }

@@ -24,7 +24,7 @@
 //!
 //! [`run_pipeline`] is the seam partitioned execution shares: it is
 //! generic over a *source factory* (`FnMut(&QPattern, u16) -> M`), so
-//! the monolithic engine ([`run_scaled`] with an [`IncrementalMerge`]
+//! the monolithic engine ([`run_governed`] with an [`IncrementalMerge`]
 //! factory) and the sharded engine
 //! ([`crate::exec::sharded::run_partitioned`] with a `ShardedMerge`
 //! factory) assemble the identical pipeline around different stage-1
@@ -47,12 +47,12 @@ use trinit_xkg::XkgStore;
 
 use crate::answer::{Answer, AnswerCollector, Bindings};
 use crate::ast::Query;
-use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget, Governor};
+use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget};
 use crate::exec::join::{self, Stream};
 use crate::exec::merge::{is_mergeable, IncrementalMerge, RankSource};
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
 use crate::exec::{ExecMetrics, TripleLookup};
-use crate::score::{ln_weight, GlobalTotals, PostingCache, SharedPostingCache};
+use crate::score::{ln_weight, PostingCache, SharedPostingCache};
 
 /// Configuration of the incremental top-k processor.
 #[derive(Debug, Clone)]
@@ -205,91 +205,27 @@ pub fn run_cached(
     cfg: &TopkConfig,
     shared: Option<&SharedPostingCache>,
 ) -> (Vec<Answer>, ExecMetrics) {
-    run_scaled(store, query, rules, cfg, shared, None, Some(store), Vec::new())
-}
-
-/// Like [`run_cached`], with the three extension points partitioned
-/// execution needs: a [`GlobalTotals`] provider (so a store *slice*
-/// scores its emissions with globally-correct normalization), an
-/// explicit [`ConditionOracle`] for structural-rule data conditions
-/// (existence across every slice), and a `seed` of already-known answers
-/// offered to the collector before any posting list is opened (a
-/// sharded executor seeds with the answers its per-shard runs found,
-/// tightening the threshold from the first pull). With `totals = None`,
-/// `oracle = Some(store)`, and an empty seed this *is* the monolithic
-/// engine.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scaled(
-    store: &XkgStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shared: Option<&SharedPostingCache>,
-    totals: Option<&dyn GlobalTotals>,
-    oracle: Option<&dyn ConditionOracle>,
-    seed: Vec<Answer>,
-) -> (Vec<Answer>, ExecMetrics) {
     let tracker = BudgetTracker::new(cfg);
-    run_scaled_with(
+    run_monolithic(
         store,
         query,
         rules,
         cfg,
         shared,
-        totals,
-        oracle,
-        seed,
-        Governor::primary(&tracker),
-    )
-}
-
-/// [`run_scaled`] with an explicit budget [`Governor`]: the seam a
-/// sharded executor uses to make every phase of one query (per-shard
-/// seed tasks, the cross-shard merge) observe a *shared*
-/// [`BudgetTracker`]. Seed phases pass an advisory governor — they
-/// draw down the budget and stop on cutoffs, but only a primary phase
-/// determines the run's [`Completeness`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scaled_with(
-    store: &XkgStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shared: Option<&SharedPostingCache>,
-    totals: Option<&dyn GlobalTotals>,
-    oracle: Option<&dyn ConditionOracle>,
-    seed: Vec<Answer>,
-    governor: Governor<'_>,
-) -> (Vec<Answer>, ExecMetrics) {
-    run_scaled_traced(
-        store,
-        query,
-        rules,
-        cfg,
-        shared,
-        totals,
-        oracle,
-        seed,
-        governor,
+        &tracker,
         &mut TraceRecorder::off(),
     )
 }
 
-/// [`run_scaled_with`] with an explicit span recorder: the seam every
-/// instrumented caller (the sharded executor's seed tasks, the engine
-/// facade) threads its per-query [`TraceRecorder`] through. Passing
-/// [`TraceRecorder::off`] makes this identical to [`run_scaled_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scaled_traced(
+/// The monolithic engine: [`run_pipeline`] over one [`IncrementalMerge`]
+/// per pattern, sharing one per-execution posting cache.
+fn run_monolithic(
     store: &XkgStore,
     query: &Query,
     rules: &RuleSet,
     cfg: &TopkConfig,
     shared: Option<&SharedPostingCache>,
-    totals: Option<&dyn GlobalTotals>,
-    oracle: Option<&dyn ConditionOracle>,
-    seed: Vec<Answer>,
-    governor: Governor<'_>,
+    tracker: &BudgetTracker,
     recorder: &mut TraceRecorder,
 ) -> (Vec<Answer>, ExecMetrics) {
     let mut metrics = ExecMetrics::default();
@@ -298,13 +234,12 @@ pub fn run_scaled_traced(
     let cache = Rc::new(RefCell::new(PostingCache::new()));
     let answers = run_pipeline(
         store,
-        oracle,
+        Some(store),
         query,
         rules,
         cfg,
-        seed,
         &mut metrics,
-        governor,
+        tracker,
         recorder,
         |pattern, fresh_base, _| {
             IncrementalMerge::for_pattern(
@@ -315,7 +250,7 @@ pub fn run_scaled_traced(
                 fresh_base,
                 Rc::clone(&cache),
                 shared,
-                totals,
+                None,
             )
         },
     );
@@ -340,8 +275,8 @@ pub struct GovernedRun {
 }
 
 /// Like [`run_cached`], additionally reporting the run's typed
-/// [`Completeness`] — the serving-tier entry point for budgeted
-/// monolithic execution.
+/// [`Completeness`] and its span trace — the serving-tier entry point
+/// for budgeted monolithic execution.
 pub fn run_governed(
     store: &XkgStore,
     query: &Query,
@@ -352,18 +287,8 @@ pub fn run_governed(
     let tracker = BudgetTracker::new(cfg);
     let mut recorder = cfg.obs.recorder();
     let span_start = recorder.start();
-    let (answers, metrics) = run_scaled_traced(
-        store,
-        query,
-        rules,
-        cfg,
-        shared,
-        None,
-        Some(store),
-        Vec::new(),
-        Governor::primary(&tracker),
-        &mut recorder,
-    );
+    let (answers, metrics) =
+        run_monolithic(store, query, rules, cfg, shared, &tracker, &mut recorder);
     let completeness = tracker.completeness(&answers);
     recorder.record(Stage::Query, answers.len() as u32, span_start);
     GovernedRun {
@@ -380,7 +305,7 @@ pub fn run_governed(
 /// variant into one shared collector.
 ///
 /// This is the composition seam between the monolithic and partitioned
-/// engines: [`run_scaled`] passes an [`IncrementalMerge`] factory,
+/// engines: [`run_monolithic`] passes an [`IncrementalMerge`] factory,
 /// [`crate::exec::sharded::run_partitioned`] a `ShardedMerge` factory —
 /// everything downstream of the factory is the same code.
 #[allow(clippy::too_many_arguments)]
@@ -390,9 +315,8 @@ pub(crate) fn run_pipeline<M: RankSource>(
     query: &Query,
     rules: &RuleSet,
     cfg: &TopkConfig,
-    seed: Vec<Answer>,
     metrics: &mut ExecMetrics,
-    governor: Governor<'_>,
+    tracker: &BudgetTracker,
     recorder: &mut TraceRecorder,
     mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
 ) -> Vec<Answer> {
@@ -402,9 +326,6 @@ pub(crate) fn run_pipeline<M: RankSource>(
     // pull is maintained persistently on insert (O(1), zero allocation
     // per pull) instead of re-selected from all candidate scores.
     let mut collector = AnswerCollector::tracking(k);
-    for answer in seed {
-        collector.offer(answer);
-    }
     let variants = structural_variants(oracle, &query.patterns, rules, cfg);
     let mut cut = false;
     for (variant_idx, (patterns, variant_weight, variant_trace)) in
@@ -415,7 +336,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
             // variants are forfeited wholesale. Their answers score at
             // most the variant weight (stream probabilities are ≤ 1),
             // which keeps the truncation bound sound.
-            governor.note_truncated(ln_weight(variant_weight));
+            tracker.note_truncated(ln_weight(variant_weight));
             continue;
         }
         metrics.rewritings_evaluated += 1;
@@ -451,7 +372,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
             max_var as usize + 64, // headroom for fresh variables
             &mut collector,
             metrics,
-            governor,
+            tracker,
             recorder,
         );
         for stream in &mut streams {
@@ -535,10 +456,10 @@ pub(crate) fn rank_join<M: RankSource>(
     n_vars: usize,
     collector: &mut AnswerCollector,
     metrics: &mut ExecMetrics,
-    governor: Governor<'_>,
+    tracker: &BudgetTracker,
     recorder: &mut TraceRecorder,
 ) -> bool {
-    let mut policy = ThresholdPolicy::new(cfg, k, streams.len(), governor);
+    let mut policy = ThresholdPolicy::new(cfg, k, streams.len(), tracker);
     match policy.admit_variant(streams, variant_log, collector, metrics) {
         Admission::Admit => {}
         Admission::Skip => return true,
@@ -560,7 +481,7 @@ pub(crate) fn rank_join<M: RankSource>(
         .max_by(|&a, &b| streams[a].frontier_log().total_cmp(&streams[b].frontier_log()))
     {
         metrics.pulls += 1;
-        governor.on_pull();
+        tracker.on_pull();
         window.tick(recorder);
         #[cfg(feature = "faults")]
         crate::exec::faults::on_pull();

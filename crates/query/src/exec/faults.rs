@@ -8,18 +8,18 @@
 //! * [`on_pull`] — inside the rank-join pull loop; injects artificial
 //!   per-pull latency and allocation-pressure stalls, the knobs the
 //!   deadline-fidelity tests turn.
-//! * [`on_seed_task`] — at the start of a per-shard seed task under the
-//!   work-stealing batch scheduler; panics for planned `(query, shard)`
-//!   pairs, or probabilistically under a seeded coin.
-//! * [`on_merge`] — at the start of a query's merge phase; panics for
-//!   planned query indices.
+//! * [`on_batch_query`] — at the start of each batch query, inside the
+//!   batch pool's panic boundary; panics for planned query indices, or
+//!   probabilistically under a seeded coin.
 //!
 //! Injection is *deterministic*: planned sites fire exactly, and the
-//! probabilistic mode hashes `(seed, query, shard)` with a
-//! splitmix64-style mixer, so a failing configuration replays from its
-//! seed alone. The scope guard also serializes tests that install
-//! plans (the plan is process-global), so `cargo test` parallelism
-//! cannot interleave two harnesses.
+//! probabilistic mode hashes `(seed, query)` with a splitmix64-style
+//! mixer, so a failing configuration replays from its seed alone. The
+//! scope guard also serializes tests that install plans (the plan is
+//! process-global), so `cargo test` parallelism cannot interleave two
+//! harnesses. Any test that runs code reading the plan while another
+//! test of its binary installs one must hold a scope too — a clean run
+//! installs `FaultPlan::default()`.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -27,16 +27,13 @@ use std::time::Duration;
 /// What to inject, and where. Installed with [`FaultScope::install`].
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Seed tasks that panic: `(query index, shard index)` pairs as the
-    /// batch scheduler numbers them.
-    pub seed_panics: Vec<(usize, usize)>,
-    /// Query indices whose merge phase panics.
-    pub merge_panics: Vec<usize>,
+    /// Batch query indices (input positions) that panic.
+    pub query_panics: Vec<usize>,
     /// Seed for the probabilistic panic coin.
-    pub seed_panic_seed: u64,
-    /// Probability in `[0, 1]` that any given seed task panics
-    /// (deterministic per `(seed, query, shard)`).
-    pub seed_panic_prob: f64,
+    pub panic_seed: u64,
+    /// Probability in `[0, 1]` that any given batch query panics
+    /// (deterministic per `(seed, query)`).
+    pub panic_prob: f64,
     /// Artificial latency added to every rank-join pull.
     pub pull_delay: Option<Duration>,
     /// Bytes allocated (and immediately dropped) per pull, modelling
@@ -95,48 +92,29 @@ pub fn on_pull() {
     }
 }
 
-/// Seed-task hook: panics when the plan targets `(query, shard)`,
-/// either explicitly or through the seeded coin.
-pub fn on_seed_task(query: usize, shard: usize) {
+/// Batch-query hook: panics when the plan targets `query`, either
+/// explicitly or through the seeded coin.
+pub fn on_batch_query(query: usize) {
     let fire = {
         let guard = lock_active();
         match guard.as_ref() {
             None => return,
             Some(p) => {
-                p.seed_panics.contains(&(query, shard))
-                    || (p.seed_panic_prob > 0.0
-                        && coin(p.seed_panic_seed, query as u64, shard as u64)
-                            < p.seed_panic_prob)
+                p.query_panics.contains(&query)
+                    || (p.panic_prob > 0.0 && coin(p.panic_seed, query as u64) < p.panic_prob)
             }
         }
     };
     if fire {
         // lint:allow(no-panic-hot-path): deliberate injected fault — panicking here is the harness's purpose
-        panic!("injected fault: seed task (query {query}, shard {shard})");
+        panic!("injected fault: batch query {query}");
     }
 }
 
-/// Merge-phase hook: panics when the plan targets `query`.
-pub fn on_merge(query: usize) {
-    let fire = {
-        let guard = lock_active();
-        match guard.as_ref() {
-            None => return,
-            Some(p) => p.merge_panics.contains(&query),
-        }
-    };
-    if fire {
-        // lint:allow(no-panic-hot-path): deliberate injected fault — panicking here is the harness's purpose
-        panic!("injected fault: merge phase (query {query})");
-    }
-}
-
-/// Splitmix64-style mix of `(seed, a, b)` into a uniform `[0, 1)`
-/// double — the deterministic coin behind probabilistic injection.
-fn coin(seed: u64, a: u64, b: u64) -> f64 {
-    let mut z = seed
-        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+/// Splitmix64-style mix of `(seed, a)` into a uniform `[0, 1)` double —
+/// the deterministic coin behind probabilistic injection.
+fn coin(seed: u64, a: u64) -> f64 {
+    let mut z = seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -152,35 +130,36 @@ mod tests {
     fn scope_installs_and_clears_the_plan() {
         {
             let _scope = FaultScope::install(FaultPlan {
-                merge_panics: vec![3],
+                query_panics: vec![3],
                 ..FaultPlan::default()
             });
             assert!(lock_active().is_some(), "plan active inside the scope");
-            on_merge(2); // not targeted: must not panic
+            on_batch_query(2); // not targeted: must not panic
         }
+        // Hold the gate so no other test's scope is alive: every scope
+        // clears its plan on drop, so none may remain.
+        let _gate = SCOPE_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(lock_active().is_none(), "plan cleared after the scope");
-        on_merge(3); // no plan: must not panic
+        on_batch_query(3); // no plan: must not panic
     }
 
     #[test]
-    fn planned_merge_panic_fires_with_identifying_payload() {
+    fn planned_query_panic_fires_with_identifying_payload() {
         let _scope = FaultScope::install(FaultPlan {
-            merge_panics: vec![1],
+            query_panics: vec![1],
             ..FaultPlan::default()
         });
-        let err = std::panic::catch_unwind(|| on_merge(1)).unwrap_err();
+        let err = std::panic::catch_unwind(|| on_batch_query(1)).unwrap_err();
         let msg = crate::exec::budget::describe_panic(err.as_ref());
-        assert!(msg.contains("merge phase (query 1)"), "payload was: {msg}");
+        assert!(msg.contains("batch query 1"), "payload was: {msg}");
     }
 
     #[test]
     fn coin_is_deterministic_and_roughly_uniform() {
-        assert_eq!(coin(42, 3, 5), coin(42, 3, 5));
-        assert_ne!(coin(42, 3, 5), coin(43, 3, 5));
+        assert_eq!(coin(42, 3), coin(42, 3));
+        assert_ne!(coin(42, 3), coin(43, 3));
         let n = 4096;
-        let hits = (0..n)
-            .filter(|&i| coin(7, i as u64, 0) < 0.25)
-            .count();
+        let hits = (0..n).filter(|&i| coin(7, i as u64) < 0.25).count();
         let frac = hits as f64 / n as f64;
         assert!((0.18..0.32).contains(&frac), "fraction was {frac}");
     }

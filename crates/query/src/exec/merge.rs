@@ -425,6 +425,24 @@ impl<'a> IncrementalMerge<'a> {
         }
     }
 
+    /// True if [`IncrementalMerge::peek_bound`] is exact: the top of the
+    /// queue is an opened list head.
+    pub fn head_is_open(&self) -> bool {
+        self.heap.peek().is_some_and(|e| e.opened)
+    }
+
+    /// The alternative and triple of the next emission, once
+    /// [`IncrementalMerge::tighten_head`] has opened the head (`None`
+    /// while the top of the queue is unopened or the merge is
+    /// exhausted). Emission order is (probability desc, alternative
+    /// asc, triple id asc); the sharded merge orders tied shard heads
+    /// by this key.
+    pub fn head_key(&self) -> Option<(usize, TripleId)> {
+        let top = self.heap.peek().filter(|e| e.opened)?;
+        let triple = self.alts[top.alt].matches.as_ref()?.peek_triple()?;
+        Some((top.alt, triple))
+    }
+
     /// Produces the next emission in descending order.
     pub fn next_merged(&mut self, metrics: &mut ExecMetrics) -> Option<Merged> {
         loop {

@@ -43,6 +43,19 @@ pub mod topk;
 pub trait TripleLookup {
     /// The triple with the given id.
     fn triple_of(&self, id: trinit_xkg::TripleId) -> trinit_xkg::Triple;
+
+    /// Tie ranks of the slice whose global ids start at `offset`, by
+    /// local id: each triple's position in the single-store order — the
+    /// id the monolithic store over the same builder gives it. Posting
+    /// lists break probability ties by id, so the sharded merge
+    /// compares these ranks when shard heads tie exactly and emits
+    /// tied triples in the monolithic order. `None` (the default): the
+    /// ranks are the global ids (slices laid out in global-id order,
+    /// e.g. a segmented base then its delta).
+    fn tie_ranks(&self, offset: u32) -> Option<&[u32]> {
+        let _ = offset;
+        None
+    }
 }
 
 impl TripleLookup for trinit_xkg::XkgStore {
@@ -101,10 +114,6 @@ pub struct ExecMetrics {
     /// ([`crate::exec::drive::TopkConfig::epsilon`]). Always 0 in exact
     /// (ε = 0) runs.
     pub approx_cutoffs: usize,
-    /// Per-shard seed tasks of this query executed by a worker other
-    /// than the query's owning worker under the work-stealing batch
-    /// scheduler (0 outside stolen batch execution).
-    pub seed_steals: usize,
     /// Hard budget cutoffs fired by the wall-clock deadline
     /// ([`crate::exec::budget::ExecBudget::deadline`]).
     pub deadline_cutoffs: usize,
@@ -116,10 +125,6 @@ pub struct ExecMetrics {
     /// ([`crate::exec::budget::ExecBudget::ladder`]): escalations of
     /// the effective ε / θ inside the soft budget region.
     pub degradation_steps: usize,
-    /// Seed tasks pruned by adaptive seeding under the work-stealing
-    /// batch scheduler: subject-bound queries seed only their subject's
-    /// home shard, and the skipped tasks are counted here.
-    pub seed_skips: usize,
 }
 
 impl ExecMetrics {
@@ -138,11 +143,9 @@ impl ExecMetrics {
         self.ranged_serves += other.ranged_serves;
         self.posting_sorts += other.posting_sorts;
         self.approx_cutoffs += other.approx_cutoffs;
-        self.seed_steals += other.seed_steals;
         self.deadline_cutoffs += other.deadline_cutoffs;
         self.budget_cutoffs += other.budget_cutoffs;
         self.degradation_steps += other.degradation_steps;
-        self.seed_skips += other.seed_skips;
     }
 }
 
@@ -196,11 +199,9 @@ mod tests {
             ranged_serves: 11,
             posting_sorts: 12,
             approx_cutoffs: 13,
-            seed_steals: 14,
-            deadline_cutoffs: 15,
-            budget_cutoffs: 16,
-            degradation_steps: 17,
-            seed_skips: 18,
+            deadline_cutoffs: 14,
+            budget_cutoffs: 15,
+            degradation_steps: 16,
         };
         let mut merged = ExecMetrics::default();
         merged.merge(&full);
@@ -220,11 +221,9 @@ mod tests {
             ranged_serves: 22,
             posting_sorts: 24,
             approx_cutoffs: 26,
-            seed_steals: 28,
-            deadline_cutoffs: 30,
-            budget_cutoffs: 32,
-            degradation_steps: 34,
-            seed_skips: 36,
+            deadline_cutoffs: 28,
+            budget_cutoffs: 30,
+            degradation_steps: 32,
         };
         assert_eq!(merged, doubled, "merge must sum every field");
     }

@@ -38,14 +38,24 @@
 //! produces, and every threshold argument of the single-store engine
 //! carries over verbatim.
 //!
+//! **Ties.** A single store's merge emits equal probabilities by
+//! alternative, then by triple id. When shard heads tie exactly, the
+//! election tightens every tied shard and emits the head with the lowest
+//! (alternative, tie rank) — the rank being the id the monolithic store
+//! gives the triple ([`TripleLookup::tie_ranks`]) — so the union stream
+//! equals the monolithic stream triple for triple, and a k-cut inside a
+//! tie group keeps the same answers on both backends. Ranks are read
+//! only for heads that tie.
+//!
 //! **Election cost.** The best shard is elected from a small max-heap
 //! keyed by per-shard bounds (O(log shards) per emission instead of a
 //! linear rescan), and the union's remaining-mass envelope is an
 //! incrementally maintained sum (O(1) per read). The heap's entries are
-//! always exact: a shard's bound only moves inside its own `&mut` calls
+//! always current: a shard's bound only moves inside its own `&mut` calls
 //! (`tighten_head` / `next_merged`), each of which is followed by a
 //! re-push here — the emission order is property-pinned identical to
-//! the linear-scan election at 1/2/4/7 shards.
+//! a linear-scan election and to the monolithic merge at 1/2/4/7
+//! shards.
 //!
 //! A slice need not be a subject-hash shard: segmented (base + delta)
 //! stores pass their segments as extra slices, and the `restrict`
@@ -64,24 +74,31 @@ use trinit_xkg::{TripleId, XkgStore};
 
 use crate::answer::Answer;
 use crate::ast::Query;
-use crate::exec::budget::{Completeness, Governor};
+use crate::exec::budget::{BudgetTracker, Completeness};
 use crate::exec::drive::{self, TopkConfig};
 use crate::exec::merge::{IncrementalMerge, Merged, RankSource};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{GlobalTotals, PostingCache, SharedPostingCache};
 
-/// One shard's standing in the election: its current exact upper bound.
-/// Max-heap order — higher bound first, ties to the lowest shard index
-/// (keeping emission order deterministic and identical to the previous
-/// linear scan's first-maximum election).
+/// One shard's standing in the election. Max-heap order: higher bound
+/// first; at equal bounds a loose entry first (it may tie once
+/// tightened), then an exact one whose tie key is not yet computed,
+/// then the lower tie key — the monolithic merge's order — then the
+/// lower shard index.
 struct ShardEntry {
     bound: f64,
+    /// True once `bound` is the exact probability of the shard's next
+    /// emission (its head list is open).
+    exact: bool,
+    /// The exact head's (alternative, tie rank), computed only when it
+    /// ties another shard's head, and kept until the shard emits.
+    key: Option<(usize, u32)>,
     idx: usize,
 }
 
 impl PartialEq for ShardEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.idx == other.idx
+        self.cmp(other).is_eq()
     }
 }
 
@@ -95,8 +112,16 @@ impl PartialOrd for ShardEntry {
 
 impl Ord for ShardEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
         self.bound
             .total_cmp(&other.bound)
+            .then_with(|| other.exact.cmp(&self.exact))
+            .then_with(|| match (self.key, other.key) {
+                (None, None) => Ordering::Equal,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(_), None) => Ordering::Less,
+                (Some(a), Some(b)) => b.cmp(&a),
+            })
             .then_with(|| other.idx.cmp(&self.idx))
     }
 }
@@ -109,6 +134,9 @@ pub struct ShardedMerge<'a> {
     /// Each shard's base in the global triple-id space (parallel to
     /// `shards`).
     offsets: Vec<u32>,
+    /// Each shard's tie ranks by local id (parallel to `shards`; `None`
+    /// when they are the global ids), read for exactly tied heads.
+    ranks: Vec<Option<&'a [u32]>>,
     /// Each shard's slot in the shared `metrics` vector (parallel to
     /// `shards`; restricted merges cover a sub-range of the slots).
     slots: Vec<usize>,
@@ -118,7 +146,7 @@ pub struct ShardedMerge<'a> {
     /// Election heap: exactly one entry per non-exhausted shard, each
     /// carrying the shard's *current* [`IncrementalMerge::peek_bound`]
     /// (bounds move only inside that shard's `&mut` calls, which
-    /// re-push here).
+    /// re-push here), marked exact once its head list is open.
     heap: BinaryHeap<ShardEntry>,
     /// Incrementally maintained sum of the shards' remaining-mass
     /// envelopes: deltas are folded in around every `tighten_head` /
@@ -136,18 +164,19 @@ impl<'a> ShardedMerge<'a> {
     fn new(
         shards: Vec<IncrementalMerge<'a>>,
         offsets: Vec<u32>,
+        lookup: &'a dyn TripleLookup,
         slots: Vec<usize>,
         metrics: Rc<RefCell<Vec<ExecMetrics>>>,
     ) -> ShardedMerge<'a> {
-        let heap = shards
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, m)| m.peek_bound().map(|bound| ShardEntry { bound, idx }))
+        let heap = (0..shards.len())
+            .filter_map(|idx| ShardedMerge::entry(&shards, idx))
             .collect();
         let mass = shards.iter().map(IncrementalMerge::remaining_mass).sum();
+        let ranks = offsets.iter().map(|&o| lookup.tie_ranks(o)).collect();
         ShardedMerge {
             shards,
             offsets,
+            ranks,
             slots,
             metrics,
             heap,
@@ -196,41 +225,67 @@ impl RankSource for ShardedMerge<'_> {
         if obs_on && self.obs_elections == 0 {
             self.obs_window_start = now_ns();
         }
-        let out = loop {
-            // The shard with the highest upper bound (ties to the lowest
-            // shard index).
-            let Some(ShardEntry { idx: i, .. }) = self.heap.pop() else {
+        let out = 'elect: loop {
+            // The shard with the highest upper bound.
+            let Some(mut cand) = self.heap.pop() else {
                 break None;
             };
-            // A bound can be loose (unopened alternatives). Tighten the
-            // candidate's head to its exact next probability; if another
-            // shard's bound now exceeds it, re-elect.
-            let tightened = self.with_mass_delta(i, metrics, |shard, m| shard.tighten_head(m));
-            let Some(tight) = tightened else {
-                // Exhausted while tightening — drop out of the election
-                // (re-enter only if a bound somehow remains).
-                if let Some(bound) = self.shards[i].peek_bound() {
-                    self.heap.push(ShardEntry { bound, idx: i });
+            // Settle the candidate against the heap top until it wins,
+            // swapping in place whenever the top must go first.
+            loop {
+                if !cand.exact {
+                    // A bound can be loose (unopened alternatives).
+                    // Tighten the head to its exact next probability.
+                    let i = cand.idx;
+                    let tightened =
+                        self.with_mass_delta(i, metrics, |shard, m| shard.tighten_head(m));
+                    let Some(tight) = tightened else {
+                        // Exhausted while tightening — drop out of the
+                        // election (re-enter only if a bound remains).
+                        if let Some(entry) = ShardedMerge::entry(&self.shards, i) {
+                            self.heap.push(entry);
+                        }
+                        continue 'elect;
+                    };
+                    cand.bound = tight;
+                    cand.exact = true;
                 }
-                continue;
-            };
-            if self.heap.peek().is_some_and(|top| top.bound > tight) {
-                self.heap.push(ShardEntry {
-                    bound: tight,
-                    idx: i,
-                });
-                continue;
+                let Some(mut next) = self.heap.peek_mut() else {
+                    break;
+                };
+                let next_first = if next.bound != cand.bound {
+                    next.bound > cand.bound
+                } else if !next.exact {
+                    // May tie once tightened.
+                    true
+                } else if next.key.is_none() {
+                    // An exact tie: key the top in place (the heap
+                    // re-sifts it) and look again — every tied head is
+                    // keyed before one emits.
+                    next.key = Some(tie_key(&self.shards, &self.offsets, &self.ranks, next.idx));
+                    continue;
+                } else {
+                    let key = *cand.key.get_or_insert_with(|| {
+                        tie_key(&self.shards, &self.offsets, &self.ranks, cand.idx)
+                    });
+                    next.key < Some(key)
+                };
+                if !next_first {
+                    break;
+                }
+                std::mem::swap(&mut *next, &mut cand);
             }
-            let Some(mut merged) = self
-                .with_mass_delta(i, metrics, |shard, m| shard.next_merged(m))
+            let i = cand.idx;
+            let Some(mut merged) =
+                self.with_mass_delta(i, metrics, |shard, m| shard.next_merged(m))
             else {
                 // A just-tightened head always emits; if the invariant
                 // ever broke, dropping the shard from this election
                 // degrades to a skipped emission instead of panicking.
                 continue;
             };
-            if let Some(bound) = self.shards[i].peek_bound() {
-                self.heap.push(ShardEntry { bound, idx: i });
+            if let Some(entry) = ShardedMerge::entry(&self.shards, i) {
+                self.heap.push(entry);
             }
             // Remap into the global id space.
             merged.triple = TripleId(self.offsets[i] + merged.triple.0);
@@ -262,6 +317,18 @@ impl RankSource for ShardedMerge<'_> {
 }
 
 impl ShardedMerge<'_> {
+    /// Shard `i`'s election entry: exact when its head list is already
+    /// open, loose otherwise; `None` once the shard is exhausted.
+    fn entry(shards: &[IncrementalMerge<'_>], i: usize) -> Option<ShardEntry> {
+        let shard = &shards[i];
+        Some(ShardEntry {
+            bound: shard.peek_bound()?,
+            exact: shard.head_is_open(),
+            idx: i,
+            key: None,
+        })
+    }
+
     /// Record the pending [`Stage::Election`] window span (covers the
     /// wall interval its `detail` elections ran in) and reset it.
     fn flush_election_window(&mut self, recorder: &mut TraceRecorder) {
@@ -278,6 +345,23 @@ impl ShardedMerge<'_> {
         self.obs_window_start = now;
         self.obs_elections = 0;
     }
+}
+
+/// Shard `i`'s exact head as (alternative, tie rank): the order a single
+/// store's merge emits equal probabilities in. A head that cannot be
+/// keyed sorts last among its ties.
+fn tie_key(
+    shards: &[IncrementalMerge<'_>],
+    offsets: &[u32],
+    ranks: &[Option<&[u32]>],
+    i: usize,
+) -> (usize, u32) {
+    shards[i]
+        .head_key()
+        .map_or((usize::MAX, u32::MAX), |(alt, local)| {
+            let rank = ranks[i].and_then(|r| r.get(local.idx()).copied());
+            (alt, rank.unwrap_or(offsets[i] + local.0))
+        })
 }
 
 /// The result of one partitioned execution.
@@ -309,15 +393,9 @@ pub struct PartitionedRun {
 ///   per *leading* slice (cached lists are slice-specific, so slices
 ///   must never share one); trailing slices — e.g. freshly built delta
 ///   segments, whose lists change every ingest — run uncached.
-/// * `seed` pre-loads the answer collector — a sharded executor passes
-///   the answers its parallel per-shard runs already found, so the
-///   threshold starts tight. Seeds must carry true (globally
-///   normalized) scores and global triple ids.
-/// * `governor` carries the query's budget state into the pipeline
-///   (pass `Governor::primary` over a fresh
-///   [`BudgetTracker`](crate::exec::budget::BudgetTracker) for a
-///   standalone run); the returned completeness is read off its
-///   tracker.
+/// * `tracker` carries the query's budget state into the pipeline
+///   (pass a fresh [`BudgetTracker`] for a standalone run); the
+///   returned completeness is read off it.
 /// * `restrict`, when `Some((j, range))`, confines query pattern `j`'s
 ///   merge source to the slice sub-range `range` — the semi-naive
 ///   delta-query seam: a pattern restricted to the delta slices matches
@@ -338,8 +416,7 @@ pub fn run_partitioned(
     rules: &RuleSet,
     cfg: &TopkConfig,
     shard_caches: Option<&[SharedPostingCache]>,
-    seed: Vec<Answer>,
-    governor: Governor<'_>,
+    tracker: &BudgetTracker,
     restrict: Option<(usize, Range<usize>)>,
     recorder: &mut TraceRecorder,
 ) -> PartitionedRun {
@@ -375,9 +452,8 @@ pub fn run_partitioned(
         query,
         rules,
         cfg,
-        seed,
         &mut metrics,
-        governor,
+        tracker,
         recorder,
         |pattern, fresh_base, position| {
             let range = match &restrict {
@@ -402,6 +478,7 @@ pub fn run_partitioned(
             ShardedMerge::new(
                 merges,
                 range.clone().map(|s| offsets[s]).collect(),
+                lookup,
                 range.collect(),
                 Rc::clone(&shard_metrics),
             )
@@ -413,7 +490,7 @@ pub fn run_partitioned(
     // into both the shard slot and the passed metrics), so folding the
     // slots here would double-count it.
     let per_shard = shard_metrics.borrow().clone();
-    let completeness = governor.tracker().completeness(&answers);
+    let completeness = tracker.completeness(&answers);
     PartitionedRun {
         answers,
         metrics,
@@ -444,39 +521,66 @@ mod tests {
         b
     }
 
-    /// The previous election algorithm, kept verbatim as the reference:
-    /// a linear scan for the highest bound (ties to the lowest index),
-    /// tighten, linear dominance re-check, emit.
+    /// The reference election, a linear scan: tighten shards at the
+    /// highest bound (lowest index first) until every one there is
+    /// exact, then emit the tied head with the lowest (alternative, tie
+    /// rank).
     fn reference_next(
         shards: &mut [IncrementalMerge<'_>],
         offsets: &[u32],
+        lookup: &Ranked<'_>,
         metrics: &mut [ExecMetrics],
     ) -> Option<Merged> {
         loop {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, m) in shards.iter().enumerate() {
-                if let Some(b) = m.peek_bound() {
-                    if best.is_none_or(|(_, cur)| b > cur) {
-                        best = Some((i, b));
-                    }
-                }
-            }
-            let (i, _) = best?;
-            let Some(tight) = shards[i].tighten_head(&mut metrics[i]) else {
-                continue;
-            };
-            let dominated = shards
+            let max = shards
                 .iter()
-                .enumerate()
-                .any(|(j, m)| j != i && m.peek_bound().is_some_and(|b| b > tight));
-            if dominated {
+                .filter_map(IncrementalMerge::peek_bound)
+                .max_by(f64::total_cmp)?;
+            let at_max = |m: &IncrementalMerge<'_>| m.peek_bound() == Some(max);
+            if let Some(i) = shards
+                .iter()
+                .position(|m| at_max(m) && m.head_key().is_none())
+            {
+                shards[i].tighten_head(&mut metrics[i]);
                 continue;
             }
+            let i = (0..shards.len())
+                .filter(|&i| at_max(&shards[i]))
+                .min_by_key(|&i| {
+                    let (alt, local) = shards[i].head_key().expect("tightened head");
+                    (alt, lookup.rank(TripleId(offsets[i] + local.0)))
+                })?;
             let mut merged = shards[i]
                 .next_merged(&mut metrics[i])
                 .expect("tightened head must emit");
             merged.triple = TripleId(offsets[i] + merged.triple.0);
             return Some(merged);
+        }
+    }
+
+    /// Slices of one builder with the tie ranks a sharded store keeps:
+    /// each triple's id in the monolithic store.
+    struct Ranked<'a> {
+        exec: SegmentedExec<'a>,
+        offsets: Vec<u32>,
+        ranks: Vec<Vec<u32>>,
+    }
+
+    impl TripleLookup for Ranked<'_> {
+        fn triple_of(&self, id: TripleId) -> trinit_xkg::Triple {
+            self.exec.triple_of(id)
+        }
+
+        fn tie_ranks(&self, offset: u32) -> Option<&[u32]> {
+            let i = self.offsets.partition_point(|&base| base <= offset) - 1;
+            Some(&self.ranks[i])
+        }
+    }
+
+    impl Ranked<'_> {
+        fn rank(&self, id: TripleId) -> u32 {
+            let i = self.offsets.partition_point(|&base| base <= id.0) - 1;
+            self.ranks[i][(id.0 - self.offsets[i]) as usize]
         }
     }
 
@@ -505,12 +609,10 @@ mod tests {
     }
 
     #[test]
-    fn heap_election_is_emission_order_identical_to_linear_scan() {
+    fn heap_election_matches_linear_scan_and_monolith() {
         let b = builder();
-        let probe = {
-            let store = b.clone().build();
-            store.resource("p").unwrap()
-        };
+        let mono = b.clone().build();
+        let probe = mono.resource("p").unwrap();
         for n in [1usize, 2, 4, 7] {
             let slices = b.clone().build_sharded(n);
             let refs: Vec<&XkgStore> = slices.iter().collect();
@@ -520,7 +622,16 @@ mod tests {
                 offsets.push(base);
                 base += s.len() as u32;
             }
-            let exec = SegmentedExec::new(&refs, &offsets);
+            let mut ranks = vec![Vec::new(); n];
+            for (rank, t) in (0u32..).zip(b.triples()) {
+                ranks[t.s.shard_of(n)].push(rank);
+            }
+            let lookup = Ranked {
+                exec: SegmentedExec::new(&refs, &offsets),
+                offsets: offsets.clone(),
+                ranks,
+            };
+            let exec = &lookup.exec;
             let rules = RuleSet::new();
             let cfg = TopkConfig::default();
             // Both shapes the merge serves heavily: predicate-bound and
@@ -537,12 +648,23 @@ mod tests {
                     trinit_relax::QTerm::Var(trinit_relax::VarId(1)),
                 ),
             ] {
-                let mut reference = merges_for(&slices, &pattern, &rules, &cfg, &exec);
+                let mut reference = merges_for(&slices, &pattern, &rules, &cfg, exec);
                 let mut ref_metrics = vec![ExecMetrics::default(); n];
+                let mut monolith = IncrementalMerge::for_pattern(
+                    &mono,
+                    &pattern,
+                    &rules,
+                    &cfg,
+                    8,
+                    Rc::new(RefCell::new(PostingCache::new())),
+                    None,
+                    None,
+                );
                 let heap_metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
                 let mut heap_merge = ShardedMerge::new(
-                    merges_for(&slices, &pattern, &rules, &cfg, &exec),
+                    merges_for(&slices, &pattern, &rules, &cfg, exec),
                     offsets.clone(),
+                    &lookup,
                     (0..n).collect(),
                     Rc::clone(&heap_metrics),
                 );
@@ -560,11 +682,12 @@ mod tests {
                         (heap_merge.remaining_mass() - resummed.max(0.0)).abs() < 1e-9,
                         "mass drifted from re-sum at {n} shards after {emitted} emissions"
                     );
-                    let want = reference_next(&mut reference, &offsets, &mut ref_metrics);
+                    let want = reference_next(&mut reference, &offsets, &lookup, &mut ref_metrics);
                     let got = heap_merge.next_merged(&mut scratch, &mut TraceRecorder::off());
-                    match (want, got) {
-                        (None, None) => break,
-                        (Some(w), Some(g)) => {
+                    let single = monolith.next_merged(&mut ExecMetrics::default());
+                    match (want, got, single) {
+                        (None, None, None) => break,
+                        (Some(w), Some(g), Some(m)) => {
                             assert_eq!(w.triple, g.triple, "{n} shards, emission {emitted}");
                             assert_eq!(
                                 w.prob.to_bits(),
@@ -572,10 +695,18 @@ mod tests {
                                 "{n} shards, emission {emitted}"
                             );
                             assert_eq!(w.pattern, g.pattern);
+                            // The union stream is the monolithic stream,
+                            // tied runs included.
+                            assert_eq!(
+                                lookup.rank(g.triple),
+                                m.triple.0,
+                                "{n} shards, emission {emitted}: tie order differs"
+                            );
+                            assert!((g.prob - m.prob).abs() < 1e-12);
                         }
-                        (w, g) => panic!(
+                        (w, g, m) => panic!(
                             "streams diverge at {n} shards, emission {emitted}: \
-                             reference {w:?} vs heap {g:?}"
+                             reference {w:?} vs heap {g:?} vs monolith {m:?}"
                         ),
                     }
                     emitted += 1;

@@ -23,10 +23,7 @@
 
 pub use crate::exec::budget::{
     describe_panic, BudgetTracker, Completeness, CutoffReason, DegradationRung, ExecBudget,
-    ExecError, Governor,
+    ExecError,
 };
-pub use crate::exec::drive::{
-    run, run_cached, run_governed, run_scaled, run_scaled_traced, run_scaled_with, GovernedRun,
-    TopkConfig,
-};
+pub use crate::exec::drive::{run, run_cached, run_governed, GovernedRun, TopkConfig};
 pub use crate::exec::merge::{IncrementalMerge, Merged, RankSource};

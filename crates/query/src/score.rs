@@ -422,12 +422,14 @@ impl SharedPostingCache {
 #[derive(Debug, Clone)]
 pub struct ScoredMatches<'s> {
     list: PostingList<'s>,
-    /// Multiplier applied to every probability the cursor API reports.
-    /// 1.0 for locally normalized lists; `local_total / global_total`
-    /// when a borrow-served list is re-normalized by a [`GlobalTotals`]
-    /// provider *without* materializing a copy (the entries keep their
-    /// baked-in local probabilities; the view rescales on the fly).
-    scale: f64,
+    /// `None` for locally normalized lists; `Some(1 / global_total)`
+    /// (0 for a zero total) when a borrow-served list is re-normalized
+    /// by a [`GlobalTotals`] provider *without* materializing a copy:
+    /// the entries keep their baked-in local probabilities and the view
+    /// reports `weight × rescale` on the fly. Scaling the raw weight —
+    /// not the shard-local probability — keeps equal weights exact ties
+    /// across shards.
+    rescale: Option<f64>,
     /// How the underlying list was built when this view materialized it
     /// fresh (`None` for cache hits) — feeds the engine's
     /// `anchored_serves` / `posting_sorts` work counters.
@@ -438,7 +440,7 @@ impl<'s> ScoredMatches<'s> {
     fn unscaled(list: PostingList<'s>) -> ScoredMatches<'s> {
         ScoredMatches {
             list,
-            scale: 1.0,
+            rescale: None,
             built: None,
         }
     }
@@ -446,7 +448,7 @@ impl<'s> ScoredMatches<'s> {
     fn fresh(list: PostingList<'s>, kind: ServeKind) -> ScoredMatches<'s> {
         ScoredMatches {
             list,
-            scale: 1.0,
+            rescale: None,
             built: Some(kind),
         }
     }
@@ -518,11 +520,7 @@ impl<'s> ScoredMatches<'s> {
             // hot-shape lists keep their locally normalized entries and
             // rescale on the fly — the cached/borrowed list is valid
             // under any totals provider.
-            let rescale = |total: f64| match global {
-                Some(t) if t > 0.0 => total / t,
-                Some(_) => 0.0,
-                None => 1.0,
-            };
+            let rescale = global.map(|t| if t > 0.0 { 1.0 / t } else { 0.0 });
             if store.layout().is_flat() {
                 // Zero-alloc: the borrowed slice of the frozen posting
                 // index is reused with an on-the-fly probability rescale
@@ -531,12 +529,11 @@ impl<'s> ScoredMatches<'s> {
                 // lists stay per-shard borrowed slices with no per-shard
                 // materialization at all.
                 let list = PostingList::build(store, &slot);
-                let scale = rescale(list.total_weight());
                 let kind = list.serve_kind();
                 return (
                     ScoredMatches {
                         list,
-                        scale,
+                        rescale,
                         built: Some(kind),
                     },
                     CacheSource::Built,
@@ -548,7 +545,6 @@ impl<'s> ScoredMatches<'s> {
             // build. The exact prefix column rides along, keeping
             // `remaining_mass` bit-identical to the Flat borrow path.
             if let Some((entries, prefix, total)) = cache.map.get(&key) {
-                let scale = rescale(*total);
                 return (
                     ScoredMatches {
                         list: PostingList::from_shared_parts(
@@ -556,7 +552,7 @@ impl<'s> ScoredMatches<'s> {
                             prefix.clone(),
                             *total,
                         ),
-                        scale,
+                        rescale,
                         built: None,
                     },
                     CacheSource::ExecHit,
@@ -567,11 +563,10 @@ impl<'s> ScoredMatches<'s> {
                     cache
                         .map
                         .insert(key, (Arc::clone(&entries), prefix.clone(), total));
-                    let scale = rescale(total);
                     return (
                         ScoredMatches {
                             list: PostingList::from_shared_parts(entries, prefix, total),
-                            scale,
+                            rescale,
                             built: None,
                         },
                         CacheSource::SharedHit,
@@ -580,7 +575,6 @@ impl<'s> ScoredMatches<'s> {
             }
             let built = PostingList::build(store, &slot);
             let kind = built.serve_kind();
-            let scale = rescale(built.total_weight());
             let (entries, prefix, total) = built.into_shared_parts();
             cache
                 .map
@@ -591,7 +585,7 @@ impl<'s> ScoredMatches<'s> {
             return (
                 ScoredMatches {
                     list: PostingList::from_shared_parts(entries, prefix, total),
-                    scale,
+                    rescale,
                     built: Some(kind),
                 },
                 CacheSource::Built,
@@ -634,7 +628,7 @@ impl<'s> ScoredMatches<'s> {
         (
             ScoredMatches {
                 list: PostingList::from_shared(rc, total),
-                scale: 1.0,
+                rescale: None,
                 built: Some(kind),
             },
             CacheSource::Built,
@@ -668,20 +662,23 @@ impl<'s> ScoredMatches<'s> {
             .entries()
             .iter()
             .find(|e| e.triple == id)
-            .map(|e| e.prob * self.scale)
+            .map(|e| self.prob(e))
             .unwrap_or(0.0)
     }
 
     /// Probability of the next unconsumed entry.
     pub fn peek_prob(&self) -> Option<f64> {
-        self.list.peek_prob().map(|p| p * self.scale)
+        self.list.peek().map(|p| self.prob(&p))
+    }
+
+    /// Triple id of the next unconsumed entry.
+    pub fn peek_triple(&self) -> Option<TripleId> {
+        self.list.peek().map(|p| p.triple)
     }
 
     /// Consumes and returns the next entry in descending order.
     pub fn next_entry(&mut self) -> Option<(TripleId, f64)> {
-        self.list
-            .next_posting()
-            .map(|p| (p.triple, p.prob * self.scale))
+        self.list.next_posting().map(|p| (p.triple, self.prob(&p)))
     }
 
     /// Entries consumed so far.
@@ -698,10 +695,20 @@ impl<'s> ScoredMatches<'s> {
     pub fn remaining_mass(&self) -> f64 {
         let total = self.list.total_weight();
         if total > 0.0 {
-            (self.list.remaining_weight() / total) * self.scale
+            match self.rescale {
+                None => self.list.remaining_weight() / total,
+                Some(inv) => self.list.remaining_weight() * inv,
+            }
         } else {
             0.0
         }
+    }
+
+    /// The probability this view reports for one entry (see the
+    /// `rescale` field).
+    #[inline]
+    fn prob(&self, e: &Posting) -> f64 {
+        self.rescale.map_or(e.prob, |inv| e.weight * inv)
     }
 }
 

@@ -1,5 +1,5 @@
-//! The sharded executor: per-shard seeding on scoped threads, the
-//! cross-shard merge phase, and the batch query pool.
+//! The sharded executor (the cross-shard merge) and the batch query
+//! pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -7,33 +7,14 @@ use std::sync::{Mutex, PoisonError};
 
 use trinit_obs::{QueryTrace, Stage, TraceRecorder};
 use trinit_query::exec::sharded::run_partitioned;
-use trinit_query::exec::topk::{run_scaled_traced, TopkConfig};
+use trinit_query::exec::topk::TopkConfig;
 use trinit_query::{
-    describe_panic, Answer, BudgetTracker, Completeness, ExecError, ExecMetrics, Governor, Query,
+    describe_panic, Answer, BudgetTracker, Completeness, ExecError, ExecMetrics, Query,
     SharedPostingCache,
 };
 use trinit_relax::{ConditionOracle, RuleSet};
-use trinit_xkg::TripleId;
 
 use crate::store::ShardedStore;
-
-/// How [`ShardedExecutor::run`] seeds the global merge with per-shard
-/// answers before the cross-shard phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedMode {
-    /// Run every shard's local top-k on its own scoped thread — the
-    /// latency-oriented mode: the seed phase takes one shard's time
-    /// instead of the sum, and the merge phase starts with a tight
-    /// k-th score.
-    Parallel,
-    /// Run the per-shard seeds one after another on the calling thread.
-    /// Used inside batch pools, where the parallelism budget is already
-    /// spent across queries.
-    Sequential,
-    /// Skip seeding: go straight to the cross-shard merge. Cheapest in
-    /// total work — the merge phase alone is complete and exact.
-    Off,
-}
 
 /// The outcome of one sharded execution.
 #[derive(Debug)]
@@ -41,33 +22,29 @@ pub struct ShardedRun {
     /// Top-k answers, best first; derivation triple ids are global
     /// (resolve them with [`ShardedStore::resolve`]).
     pub answers: Vec<Answer>,
-    /// Aggregate work counters across the seed and merge phases.
+    /// Aggregate work counters of the merge: the sum of `per_shard`.
     pub metrics: ExecMetrics,
-    /// Per-shard work: each shard's seed-phase run plus its share of
-    /// the merge phase's posting work.
+    /// Each slice's share of the merge's posting work: the base shards
+    /// in shard order, then any live delta slices.
     pub per_shard: Vec<ExecMetrics>,
     /// The exactness guarantee of `answers` under the query's
     /// [`trinit_query::ExecBudget`]: `Exact` unless an ε/θ criterion
-    /// retired work in the merge phase or a hard budget cutoff fired.
-    /// Seed-phase retirements never degrade the label — the merge
-    /// phase alone is complete and exact.
+    /// retired work or a hard budget cutoff fired.
     pub completeness: Completeness,
-    /// Per-stage execution trace: seed-task spans (merged from every
-    /// worker in shard order), the merge-phase span, and the pipeline's
-    /// windowed pull/election spans. Empty when
-    /// [`ObsConfig`](trinit_obs::ObsConfig) is off.
+    /// Per-stage execution trace: the query span, the merge span, and
+    /// the pipeline's variant spans and windowed pull/election spans.
+    /// Empty when [`ObsConfig`](trinit_obs::ObsConfig) is off.
     pub trace: QueryTrace,
 }
 
-/// Executes queries over a [`ShardedStore`]: fans the query out to
-/// per-shard top-k executions (the seed phase) and merges the shards'
-/// posting streams under the engine's tightened global threshold (the
-/// merge phase, which is always complete and exact).
+/// Executes queries over a [`ShardedStore`]: merges the shards' posting
+/// streams under the engine's tightened global threshold. The merge is
+/// complete and exact on its own, so it is the whole execution.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedExecutor<'a> {
-    pub(crate) store: &'a ShardedStore,
+    store: &'a ShardedStore,
     /// One store-level posting cache per shard, if caching is enabled.
-    pub(crate) caches: Option<&'a [SharedPostingCache]>,
+    caches: Option<&'a [SharedPostingCache]>,
 }
 
 impl<'a> ShardedExecutor<'a> {
@@ -96,132 +73,16 @@ impl<'a> ShardedExecutor<'a> {
         self
     }
 
-    /// Runs one shard's local top-k (all patterns restricted to the
-    /// shard's slice, scores globally normalized) and remaps the
-    /// answers' derivation ids into the global space. One seed task of
-    /// the work-stealing batch scheduler ([`crate::schedule`]).
-    pub(crate) fn seed_shard(
-        &self,
-        shard: usize,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        tracker: &BudgetTracker,
-        recorder: &mut TraceRecorder,
-    ) -> (Vec<Answer>, ExecMetrics) {
-        let store = self.store.shard(shard);
-        let offset = self.store.offsets()[shard];
-        let seed_start = recorder.start();
-        // Advisory governance: seed pulls consume the shared budget and
-        // pick up ladder escalations, but a cutoff or ε retirement here
-        // never marks the query non-exact — seeds only warm the merge
-        // phase's collector, and the merge phase alone is complete.
-        let (mut answers, metrics) = run_scaled_traced(
-            store,
-            query,
-            rules,
-            cfg,
-            self.caches.map(|c| &c[shard]),
-            Some(self.store),
-            Some(self.store as &dyn ConditionOracle),
-            Vec::new(),
-            Governor::advisory(tracker),
-            recorder,
-        );
-        recorder.record(Stage::SeedTask, shard as u32, seed_start);
-        for answer in &mut answers {
-            for (_, id) in &mut answer.derivation.triples {
-                *id = TripleId(offset + id.0);
-            }
-        }
-        (answers, metrics)
-    }
-
-    /// Answers `query`: seed phase per `seed`, then the cross-shard
-    /// merge. The merge phase alone is complete, so every mode returns
-    /// identical answers; seeding only changes how the work is spent.
-    pub fn run(
-        &self,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        seed: SeedMode,
-    ) -> ShardedRun {
-        let n = self.store.shard_count();
+    /// Answers `query` with the cross-shard merge under a fresh budget
+    /// tracker, recording the query and merge spans.
+    pub fn run(&self, query: &Query, rules: &RuleSet, cfg: &TopkConfig) -> ShardedRun {
         let tracker = BudgetTracker::new(cfg);
         let mut recorder = cfg.obs.recorder();
         let query_start = recorder.start();
-        let mut per_shard = vec![ExecMetrics::default(); n];
-        let mut seeds: Vec<Answer> = Vec::new();
-        match seed {
-            SeedMode::Off => {}
-            SeedMode::Sequential => {
-                for (shard, acc) in per_shard.iter_mut().enumerate() {
-                    let (answers, metrics) =
-                        self.seed_shard(shard, query, rules, cfg, &tracker, &mut recorder);
-                    seeds.extend(answers);
-                    acc.merge(&metrics);
-                }
-            }
-            SeedMode::Parallel => {
-                let tracker = &tracker;
-                let results = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                // Worker-local recorder: the seed thread
-                                // records lock-free and the join below
-                                // merges in shard order.
-                                let mut local = cfg.obs.recorder();
-                                let out = self
-                                    .seed_shard(shard, query, rules, cfg, tracker, &mut local);
-                                (out, local)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join())
-                        .collect::<Vec<_>>()
-                });
-                for (shard, joined) in results.into_iter().enumerate() {
-                    // A panicked seed thread forfeits only its warm
-                    // start: the merge phase is complete on its own, so
-                    // the query still returns its exact answers.
-                    let ((answers, metrics), local) = joined.unwrap_or_else(|_| {
-                        ((Vec::new(), ExecMetrics::default()), TraceRecorder::off())
-                    });
-                    seeds.extend(answers);
-                    per_shard[shard].merge(&metrics);
-                    recorder.merge(&local);
-                }
-            }
-        }
-
-        let mut run =
-            self.merge_with_seeds(query, rules, cfg, seeds, per_shard, &tracker, &mut recorder);
+        let mut run = self.merge(query, rules, cfg, &tracker, None, &mut recorder);
         recorder.record(Stage::Query, run.answers.len() as u32, query_start);
         run.trace = recorder.finish();
         run
-    }
-
-    /// The cross-shard merge phase: runs the partitioned pipeline with
-    /// the collector pre-loaded from `seeds`, folding the seed phase's
-    /// per-shard work (`per_shard`) into the aggregate counters. Shared
-    /// by [`ShardedExecutor::run`] and the work-stealing batch
-    /// scheduler, whose stolen seed tasks feed the same merge.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn merge_with_seeds(
-        &self,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        seeds: Vec<Answer>,
-        per_shard: Vec<ExecMetrics>,
-        tracker: &BudgetTracker,
-        recorder: &mut TraceRecorder,
-    ) -> ShardedRun {
-        self.merge_restricted(query, rules, cfg, seeds, per_shard, tracker, None, recorder)
     }
 
     /// Cross-shard merge with query pattern `position`'s merge source
@@ -229,8 +90,7 @@ impl<'a> ShardedExecutor<'a> {
     /// every answer uses at least one freshly ingested triple for that
     /// pattern, while the other patterns still read the full base ∪
     /// delta union (and scores normalize over the union, so they equal
-    /// a full run's). No seed phase — seeds search whole shards and
-    /// would reintroduce base-only matches.
+    /// a full run's).
     ///
     /// # Panics
     ///
@@ -248,33 +108,20 @@ impl<'a> ShardedExecutor<'a> {
             self.store.has_delta(),
             "delta-restricted run requires a live delta"
         );
-        let per_shard = vec![ExecMetrics::default(); self.store.shard_count()];
         let mut recorder = cfg.obs.recorder();
-        let mut run = self.merge_restricted(
-            query,
-            rules,
-            cfg,
-            Vec::new(),
-            per_shard,
-            tracker,
-            Some(position),
-            &mut recorder,
-        );
+        let mut run = self.merge(query, rules, cfg, tracker, Some(position), &mut recorder);
         run.trace = recorder.finish();
         run
     }
 
-    /// The shared merge-phase core: base shards plus any live delta
-    /// views as extra slices, optionally restricting one pattern to the
-    /// delta sub-range.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_restricted(
+    /// The merge core: base shards plus any live delta views as extra
+    /// slices, optionally restricting one pattern to the delta
+    /// sub-range.
+    fn merge(
         &self,
         query: &Query,
         rules: &RuleSet,
         cfg: &TopkConfig,
-        seeds: Vec<Answer>,
-        mut per_shard: Vec<ExecMetrics>,
         tracker: &BudgetTracker,
         restrict_pattern: Option<usize>,
         recorder: &mut TraceRecorder,
@@ -298,35 +145,24 @@ impl<'a> ShardedExecutor<'a> {
             rules,
             cfg,
             self.caches,
-            seeds,
-            Governor::primary(tracker),
+            tracker,
             restrict,
             recorder,
         );
         recorder.record(Stage::Merge, shard_refs.len() as u32, merge_start);
-
-        let mut metrics = run.metrics;
-        // Delta slices have no seed-phase slot; grow the accumulator so
-        // their merge-phase work is reported rather than dropped.
-        per_shard.resize(run.per_shard.len(), ExecMetrics::default());
-        for (acc, phase2) in per_shard.iter_mut().zip(&run.per_shard) {
-            metrics.merge(acc); // seed-phase work into the aggregate
-            acc.merge(phase2);
-        }
         ShardedRun {
             answers: run.answers,
-            metrics,
-            per_shard,
+            metrics: run.metrics,
+            per_shard: run.per_shard,
             completeness: run.completeness,
-            // The caller that owns the query's recorder finishes it;
-            // runs that never see a trace keep the empty default.
+            // The caller that owns the query's recorder finishes it.
             trace: QueryTrace::default(),
         }
     }
 }
 
 /// A fixed-size worker pool executing independent queries concurrently
-/// over a shared engine — the shard deployment's batch surface. Workers
+/// over a shared engine — the one batch path of both backends. Workers
 /// claim queries off an atomic cursor; results land in input order.
 #[derive(Debug)]
 pub struct QueryPool {
@@ -350,25 +186,41 @@ impl QueryPool {
     /// input order. `run` must be safe to call from multiple threads —
     /// the query engines are read-only over `Sync` stores, so closures
     /// capturing a store or executor qualify.
-    pub fn execute<I, O, F>(&self, inputs: Vec<I>, run: F) -> Vec<O>
+    ///
+    /// Each call is wrapped in [`catch_unwind`], so one query's panic
+    /// becomes a typed [`ExecError::WorkerPanicked`] in its own output
+    /// slot while every other query completes normally. The worker
+    /// thread that caught the panic keeps claiming further inputs.
+    pub fn try_execute<I, O, F>(&self, inputs: Vec<I>, run: F) -> Vec<Result<O, ExecError>>
     where
         I: Send,
         O: Send,
         F: Fn(I) -> O + Sync,
     {
+        let guarded = |i: usize, input: I| {
+            catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "faults")]
+                trinit_query::faults::on_batch_query(i);
+                run(input)
+            }))
+            .map_err(|payload| ExecError::WorkerPanicked {
+                context: format!("batch query {i}"),
+                payload: describe_panic(payload.as_ref()),
+            })
+        };
         let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let threads = self.workers.min(n);
-        if threads == 1 {
-            return inputs.into_iter().map(run).collect();
+        if threads <= 1 {
+            return inputs
+                .into_iter()
+                .enumerate()
+                .map(|(i, input)| guarded(i, input))
+                .collect();
         }
-        let slots: Vec<Mutex<Option<I>>> = inputs
-            .into_iter()
-            .map(|i| Mutex::new(Some(i)))
-            .collect();
-        let out: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<I>>> =
+            inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
+        let out: Vec<Mutex<Option<Result<O, ExecError>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -379,16 +231,14 @@ impl QueryPool {
                     }
                     // Poison recovery is sound here: the slots hold
                     // whole-value `Option` writes, so a panicking
-                    // holder cannot leave them logically torn, and a
-                    // missing output surfaces below instead of taking
-                    // the rest of the batch down.
+                    // holder cannot leave them logically torn.
                     let input = slots[i]
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .take();
                     // lint:allow(no-panic-hot-path): the atomic cursor hands out each index exactly once, so a claimed slot is always populated
                     let input = input.expect("input claimed once");
-                    let result = run(input);
+                    let result = guarded(i, input);
                     *out[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                 });
             }
@@ -396,34 +246,10 @@ impl QueryPool {
         out.into_iter()
             .map(|slot| {
                 let produced = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                // lint:allow(no-panic-hot-path): unreachable — thread::scope re-raises any worker panic before this line runs, and a surviving worker always writes the slot it claimed
+                // lint:allow(no-panic-hot-path): unreachable — `guarded` catches every query panic, so each worker writes every slot it claimed
                 produced.expect("every input produced an output")
             })
             .collect()
-    }
-
-    /// [`QueryPool::execute`] with panic isolation: each input's `run`
-    /// call is wrapped in [`catch_unwind`], so one query's panic
-    /// becomes a typed [`ExecError::WorkerPanicked`] in its own output
-    /// slot while every other query completes normally. The worker
-    /// thread that caught the panic keeps claiming further inputs.
-    pub fn try_execute<I, O, F>(&self, inputs: Vec<I>, run: F) -> Vec<Result<O, ExecError>>
-    where
-        I: Send,
-        O: Send,
-        F: Fn(I) -> O + Sync,
-    {
-        let n = inputs.len();
-        let indexed: Vec<(usize, I)> = inputs.into_iter().enumerate().collect();
-        debug_assert_eq!(indexed.len(), n);
-        self.execute(indexed, |(i, input)| {
-            catch_unwind(AssertUnwindSafe(|| run(input))).map_err(|payload| {
-                ExecError::WorkerPanicked {
-                    context: format!("batch query {i}"),
-                    payload: describe_panic(payload.as_ref()),
-                }
-            })
-        })
     }
 }
 
@@ -468,22 +294,38 @@ mod tests {
     use crate::testkit::assert_answers_score_equivalent as assert_same_answers;
 
     #[test]
-    fn every_seed_mode_matches_the_monolith() {
+    fn sharded_merge_matches_the_monolith() {
         let single = builder().build();
         let rules = rules(&single);
-        let sharded = ShardedStore::build(builder(), 3);
         let cfg = TopkConfig::default();
-        let q = QueryBuilder::new(&single)
-            .pattern_v_r_v("a", "p", "b")
-            .pattern_v_r_v("b", "q", "c")
-            .limit(12)
-            .build();
-        let (mono, _) = topk::run(&single, &q, &rules, &cfg);
-        let exec = ShardedExecutor::new(&sharded);
-        for mode in [SeedMode::Off, SeedMode::Sequential, SeedMode::Parallel] {
-            let run = exec.run(&q, &rules, &cfg, mode);
-            assert_same_answers(&run.answers, &mono);
-            assert_eq!(run.per_shard.len(), 3);
+        let queries = [
+            QueryBuilder::new(&single)
+                .pattern_v_r_v("a", "p", "b")
+                .pattern_v_r_v("b", "q", "c")
+                .limit(12)
+                .build(),
+            QueryBuilder::new(&single)
+                .pattern_r_r_v("x3", "p", "b")
+                .limit(4)
+                .build(),
+        ];
+        for q in &queries {
+            let (mono, mono_metrics) = topk::run(&single, q, &rules, &cfg);
+            for shards in [1usize, 3] {
+                let sharded = ShardedStore::build(builder(), shards);
+                let run = ShardedExecutor::new(&sharded).run(q, &rules, &cfg);
+                assert_same_answers(&run.answers, &mono);
+                assert_eq!(run.per_shard.len(), shards);
+                if shards == 1 {
+                    // One shard is the monolith: the merge alone does
+                    // exactly the monolithic engine's work.
+                    assert_eq!(run.metrics.pulls, mono_metrics.pulls, "{q:?}");
+                    assert_eq!(
+                        run.metrics.postings_scanned, mono_metrics.postings_scanned,
+                        "{q:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -496,12 +338,7 @@ mod tests {
             .pattern_r_r_v("x1", "p", "b")
             .limit(5)
             .build();
-        let run = ShardedExecutor::new(&sharded).run(
-            &q,
-            &rules,
-            &TopkConfig::default(),
-            SeedMode::Parallel,
-        );
+        let run = ShardedExecutor::new(&sharded).run(&q, &rules, &TopkConfig::default());
         assert!(!run.answers.is_empty());
         for answer in &run.answers {
             for (pattern, id) in &answer.derivation.triples {
@@ -528,8 +365,8 @@ mod tests {
             .limit(5)
             .build();
         let cfg = TopkConfig::default();
-        let cold = exec.run(&q, &rules, &cfg, SeedMode::Sequential);
-        let warm = exec.run(&q, &rules, &cfg, SeedMode::Sequential);
+        let cold = exec.run(&q, &rules, &cfg);
+        let warm = exec.run(&q, &rules, &cfg);
         assert_same_answers(&cold.answers, &warm.answers);
         assert!(
             warm.metrics.shared_cache_hits > 0,
@@ -547,12 +384,7 @@ mod tests {
             .pattern_v_r_v("a", "p", "b")
             .limit(8)
             .build();
-        let run = ShardedExecutor::new(&sharded).run(
-            &q,
-            &rules,
-            &TopkConfig::default(),
-            SeedMode::Sequential,
-        );
+        let run = ShardedExecutor::new(&sharded).run(&q, &rules, &TopkConfig::default());
         let scanned: usize = run.per_shard.iter().map(|m| m.postings_scanned).sum();
         assert_eq!(
             scanned, run.metrics.postings_scanned,
@@ -566,56 +398,66 @@ mod tests {
         use trinit_obs::{ObsConfig, Stage};
         let single = builder().build();
         let rules = rules(&single);
-        let shards = 3;
-        let sharded = ShardedStore::build(builder(), shards);
+        let sharded = ShardedStore::build(builder(), 3);
         let exec = ShardedExecutor::new(&sharded);
         let cfg = TopkConfig::default();
         let q = QueryBuilder::new(&single)
             .pattern_v_r_v("a", "p", "b")
             .limit(6)
             .build();
-        for mode in [SeedMode::Off, SeedMode::Sequential, SeedMode::Parallel] {
-            let run = exec.run(&q, &rules, &cfg, mode);
-            let trace = &run.trace;
-            assert_eq!(trace.stage_count(Stage::Query), 1, "{mode:?}");
-            assert_eq!(trace.stage_count(Stage::Merge), 1, "{mode:?}");
-            let expected_seeds = if mode == SeedMode::Off { 0 } else { shards };
-            assert_eq!(trace.stage_count(Stage::SeedTask), expected_seeds, "{mode:?}");
-            // The query span encloses the whole run, so it dominates
-            // every other stage's total.
-            assert!(
-                trace.stage_total_ns(Stage::Query) >= trace.stage_total_ns(Stage::Merge),
-                "{mode:?}"
-            );
-        }
+        let run = exec.run(&q, &rules, &cfg);
+        let trace = &run.trace;
+        assert_eq!(trace.stage_count(Stage::Query), 1);
+        assert_eq!(trace.stage_count(Stage::Merge), 1);
+        assert_eq!(trace.stage_count(Stage::SeedTask), 0, "no seed phase");
+        // The query span encloses the whole run, so it dominates every
+        // other stage's total.
+        assert!(trace.stage_total_ns(Stage::Query) >= trace.stage_total_ns(Stage::Merge));
         let off = TopkConfig {
             obs: ObsConfig::off(),
             ..TopkConfig::default()
         };
-        let run = exec.run(&q, &rules, &off, SeedMode::Parallel);
-        assert!(run.trace.is_empty(), "disabled obs must record nothing");
-        assert_same_answers(
-            &run.answers,
-            &exec.run(&q, &rules, &cfg, SeedMode::Parallel).answers,
-        );
+        let silent = exec.run(&q, &rules, &off);
+        assert!(silent.trace.is_empty(), "disabled obs must record nothing");
+        assert_same_answers(&silent.answers, &run.answers);
     }
 
     #[test]
     fn query_pool_preserves_input_order() {
         let pool = QueryPool::new(4);
+        assert_eq!(pool.workers(), 4);
         let inputs: Vec<usize> = (0..57).collect();
-        let out = pool.execute(inputs, |i| i * 3);
+        let out = pool.try_execute(inputs, |i| i * 3);
+        let out: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(out, (0..57).map(|i| i * 3).collect::<Vec<_>>());
-        assert!(pool.workers() == 4);
-        let empty: Vec<usize> = pool.execute(Vec::new(), |i: usize| i);
-        assert!(empty.is_empty());
+        assert!(pool.try_execute(Vec::new(), |i: usize| i).is_empty());
     }
 
     #[test]
-    fn query_pool_runs_sharded_queries_concurrently() {
+    fn query_pool_isolates_a_panicking_query() {
+        for workers in [1usize, 3] {
+            let out = QueryPool::new(workers).try_execute((0..6).collect(), |i: usize| {
+                assert_ne!(i, 4, "query four fails");
+                i
+            });
+            for (i, result) in out.iter().enumerate() {
+                match result {
+                    Ok(v) => assert_eq!(*v, i),
+                    Err(ExecError::WorkerPanicked { context, payload }) => {
+                        assert_eq!(i, 4, "only the panicking query fails");
+                        assert_eq!(context, "batch query 4");
+                        assert!(payload.contains("query four fails"), "{payload}");
+                    }
+                }
+            }
+            assert!(out[4].is_err(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn query_pool_batches_equal_per_query_runs() {
         let single = builder().build();
         let rules = rules(&single);
-        let sharded = ShardedStore::build(builder(), 2);
         let cfg = TopkConfig::default();
         let queries: Vec<_> = (0..6)
             .map(|i| {
@@ -624,17 +466,29 @@ mod tests {
                     .limit(4)
                     .build()
             })
+            .chain(std::iter::once(
+                QueryBuilder::new(&single)
+                    .pattern_v_r_v("a", "p", "b")
+                    .pattern_v_r_v("b", "q", "c")
+                    .limit(9)
+                    .build(),
+            ))
             .collect();
         let expected: Vec<_> = queries
             .iter()
             .map(|q| topk::run(&single, q, &rules, &cfg).0)
             .collect();
-        let exec = ShardedExecutor::new(&sharded);
-        let got = QueryPool::new(2).execute(queries, |q| {
-            exec.run(&q, &rules, &cfg, SeedMode::Off).answers
-        });
-        for (g, e) in got.iter().zip(&expected) {
-            assert_same_answers(g, e);
+        for shards in [2usize, 3] {
+            let sharded = ShardedStore::build(builder(), shards);
+            let exec = ShardedExecutor::new(&sharded);
+            for workers in [1usize, 2, 4] {
+                let got = QueryPool::new(workers)
+                    .try_execute(queries.clone(), |q| exec.run(&q, &rules, &cfg).answers);
+                assert_eq!(got.len(), queries.len());
+                for (g, e) in got.iter().zip(&expected) {
+                    assert_same_answers(g.as_ref().expect("no query panicked"), e);
+                }
+            }
         }
     }
 }

@@ -4,8 +4,7 @@
 //! [`XkgStore`](trinit_xkg::XkgStore) is hash-partitioned into N
 //! independent shards at build time, queries execute over the shards
 //! through the partitioned top-k engine, and independent queries run
-//! concurrently across a pool of worker threads sized to the shard
-//! count.
+//! concurrently across a [`QueryPool`] of worker threads.
 //!
 //! ## Partition scheme
 //!
@@ -45,29 +44,27 @@
 //! termination argument of the monolithic engine carries over, and the
 //! sharded engine returns the same answers with the same scores — a
 //! property pinned by this crate's equivalence tests at 1, 2, 4, and 7
-//! shards.
+//! shards. Exactly tied shard heads emit in the single store's order:
+//! by alternative, then by the id the monolithic store gives the triple
+//! (its tie rank, which [`ShardedStore`] keeps per triple), so a k-cut
+//! inside a tie group keeps the same answers on both backends.
 //!
-//! ## Execution phases
+//! ## Execution
 //!
-//! [`ShardedExecutor::run`] optionally *seeds* the global run: each
-//! shard first answers the query against its own slice alone (all
-//! patterns shard-local, globally normalized scores) on scoped threads
-//! — [`SeedMode::Parallel`]. Every seed answer is a true answer of the
-//! global query (its scores are exact, the collector keeps the max per
-//! key), so the global merge starts with a tight k-th score and prunes
-//! hopeless variants and streams from the first pull. Cross-shard join
-//! combinations are then recovered by the merge phase, which is always
-//! complete. Batch workloads ([`QueryPool`]) skip the seed phase and
-//! spend the parallelism across queries instead.
+//! [`ShardedExecutor::run`] is one phase: the cross-shard merge. It
+//! is complete and exact on its own, so no per-shard pre-pass runs in
+//! front of it. A single query runs on the calling thread. Batches run
+//! through [`QueryPool::try_execute`], which spends the parallelism
+//! across whole queries and isolates each query's panic in its own
+//! result slot.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod exec;
-pub mod schedule;
 pub mod store;
 
-pub use exec::{QueryPool, SeedMode, ShardedExecutor, ShardedRun};
+pub use exec::{QueryPool, ShardedExecutor, ShardedRun};
 pub use store::ShardedStore;
 
 /// Test support: the tie-group-aware answer comparator shared by this

@@ -25,6 +25,10 @@ pub struct ShardedStore {
     shards: Vec<XkgStore>,
     /// Shard `i`'s base in the global triple-id space.
     offsets: Vec<u32>,
+    /// Tie rank of each base triple, per shard by local id: the id the
+    /// monolithic store over the same builder gives it (see
+    /// [`TripleLookup::tie_ranks`]).
+    ranks: Vec<Vec<u32>>,
     /// Emission-weight total per predicate over the *base* shards
     /// (frozen at build time; delta contributions live in
     /// [`ShardedStore::delta_pred_totals`]).
@@ -49,6 +53,10 @@ pub struct ShardedStore {
     /// Delta view `i`'s base in the global triple-id space (delta ids
     /// follow every base id).
     delta_offsets: Vec<u32>,
+    /// Tie rank of each delta triple, per view by local id: the base
+    /// length plus its position in the delta, as a monolithic store's
+    /// delta numbers it.
+    delta_ranks: Vec<Vec<u32>>,
     /// Emission-weight total per predicate over the delta views.
     delta_pred_totals: HashMap<TermId, f64>,
     /// Emission-weight total of the delta views.
@@ -91,11 +99,16 @@ impl ShardedStore {
     ///
     /// Panics if `shards` is zero.
     pub fn build_with(builder: XkgBuilder, shards: usize, layout: SegmentLayout) -> ShardedStore {
-        ShardedStore::from_shards(builder.build_sharded_with(shards, layout))
+        let ranks = partition_ranks(builder.triples(), shards, 0);
+        let mut store = ShardedStore::from_shards(builder.build_sharded_with(shards, layout));
+        store.ranks = ranks;
+        store
     }
 
     /// Wraps already-built shards. They must share one term dictionary —
-    /// i.e. come from one [`XkgBuilder::build_sharded`] call.
+    /// i.e. come from one [`XkgBuilder::build_sharded`] call. Without the
+    /// builder the single-store order is unknown, so tie ranks follow
+    /// the global ids.
     ///
     /// # Panics
     ///
@@ -111,10 +124,13 @@ impl ShardedStore {
             );
         }
         let mut offsets = Vec::with_capacity(shards.len());
+        let mut ranks = Vec::with_capacity(shards.len());
         let mut base: u64 = 0;
         for shard in &shards {
             // lint:allow(no-panic-hot-path): construction-time capacity guard — the global triple-id space is u32 by design
-            offsets.push(u32::try_from(base).expect("global triple-id overflow"));
+            let offset = u32::try_from(base).expect("global triple-id overflow");
+            offsets.push(offset);
+            ranks.push((offset..).take(shard.len()).collect());
             base += shard.len() as u64;
         }
         let mut pred_totals: HashMap<TermId, f64> = HashMap::new();
@@ -134,6 +150,7 @@ impl ShardedStore {
         ShardedStore {
             shards,
             offsets,
+            ranks,
             pred_totals,
             global_total,
             predicates,
@@ -143,6 +160,7 @@ impl ShardedStore {
             delta,
             delta_views: Vec::new(),
             delta_offsets: Vec::new(),
+            delta_ranks: Vec::new(),
             delta_pred_totals: HashMap::new(),
             delta_global_total: 0.0,
             delta_len: 0,
@@ -451,10 +469,20 @@ impl ShardedStore {
         let compact_start = trinit_obs::now_ns();
         let n = self.shards.len();
         let mut merged = XkgBuilder::with_context(self.delta.dict().clone(), self.delta.sources());
-        for shard in &self.shards {
-            for (id, t) in shard.iter() {
-                merged.add(t, shard.provenance(id).clone());
-            }
+        // Base triples re-enter in tie-rank order (each shard's ranks
+        // ascend by local id), so the compacted store's ranks keep the
+        // single-store order: base, then delta.
+        let mut cursors = vec![0usize; n];
+        while let Some(s) = (0..n)
+            .filter(|&s| cursors[s] < self.ranks[s].len())
+            .min_by_key(|&s| self.ranks[s][cursors[s]])
+        {
+            let local = TripleId(cursors[s] as u32);
+            merged.add(
+                self.shards[s].triple(local),
+                self.shards[s].provenance(local).clone(),
+            );
+            cursors[s] += 1;
         }
         for (gid, prov) in std::mem::take(&mut self.pending) {
             let (shard, local) = self.resolve(gid);
@@ -468,7 +496,7 @@ impl ShardedStore {
         // Compaction re-freezes into the base shards' configured layout
         // (delta views stay Flat — see `rebuild_delta_views`).
         let layout = self.shards[0].layout();
-        *self = ShardedStore::from_shards(merged.build_sharded_with(n, layout));
+        *self = ShardedStore::build_with(merged, n, layout);
         self.generation = generation;
         self.last_ingest_ns = last_ingest_ns;
         self.last_compact_ns = trinit_obs::now_ns().saturating_sub(compact_start);
@@ -493,6 +521,7 @@ impl ShardedStore {
     fn rebuild_delta_views(&mut self) {
         self.delta_views.clear();
         self.delta_offsets.clear();
+        self.delta_ranks.clear();
         self.delta_pred_totals.clear();
         self.delta_global_total = 0.0;
         self.delta_len = self.delta.len();
@@ -505,6 +534,8 @@ impl ShardedStore {
         if self.delta.is_empty() {
             return;
         }
+        let base_len = u32::try_from(self.len).unwrap_or(u32::MAX);
+        self.delta_ranks = partition_ranks(self.delta.triples(), self.shards.len(), base_len);
         let views = self.delta.clone().build_sharded(self.shards.len());
         let mut base = self.len as u64;
         for view in &views {
@@ -625,6 +656,29 @@ impl TripleLookup for ShardedStore {
     fn triple_of(&self, id: TripleId) -> Triple {
         self.triple(id)
     }
+
+    fn tie_ranks(&self, offset: u32) -> Option<&[u32]> {
+        // Empty slices share their successor's offset; the last slice
+        // at an offset is the one that can hold triples.
+        let (offsets, ranks) = if (offset as usize) < self.len {
+            (&self.offsets, &self.ranks)
+        } else {
+            (&self.delta_offsets, &self.delta_ranks)
+        };
+        let i = offsets.partition_point(|&base| base <= offset).checked_sub(1)?;
+        ranks.get(i).map(Vec::as_slice)
+    }
+}
+
+/// Each triple's tie rank (`base` plus its builder id), grouped per
+/// subject-hash shard in local-id order — the same partition
+/// [`XkgBuilder::build_sharded`] applies.
+fn partition_ranks(triples: &[Triple], shards: usize, base: u32) -> Vec<Vec<u32>> {
+    let mut ranks = vec![Vec::new(); shards];
+    for (rank, t) in (base..).zip(triples) {
+        ranks[t.s.shard_of(shards)].push(rank);
+    }
+    ranks
 }
 
 #[cfg(test)]
@@ -665,6 +719,60 @@ mod tests {
                 (sharded.predicate_total_weight(p) - idx.predicate_total_weight(p)).abs() < 1e-9,
                 "predicate total diverges"
             );
+        }
+    }
+
+    /// The tie rank of a global id, read the way the sharded merge reads
+    /// it: through its slice's rank table.
+    fn tie_rank(sharded: &ShardedStore, gid: TripleId) -> u32 {
+        let slices: Vec<(u32, usize)> = (0..sharded.shard_count())
+            .map(|i| (sharded.offsets()[i], sharded.shard(i).len()))
+            .chain(sharded.delta_slices().map(|(view, offset)| (offset, view.len())))
+            .collect();
+        let &(offset, _) = slices
+            .iter()
+            .find(|&&(offset, len)| offset <= gid.0 && gid.0 < offset + len as u32)
+            .expect("id in some slice");
+        sharded.tie_ranks(offset).expect("sharded stores keep ranks")[(gid.0 - offset) as usize]
+    }
+
+    /// Asserts every triple's tie rank is its id in `mono`, base shards
+    /// and delta views alike, and that the ranks cover `mono` exactly.
+    fn assert_ranks_are_monolithic_ids(sharded: &ShardedStore, mono: &XkgStore) {
+        let base = (0..sharded.shard_count()).flat_map(|i| {
+            let offset = sharded.offsets()[i];
+            (0..sharded.shard(i).len() as u32).map(move |t| TripleId(offset + t))
+        });
+        let delta = sharded
+            .delta_slices()
+            .flat_map(|(view, offset)| (0..view.len() as u32).map(move |t| TripleId(offset + t)));
+        let mut ranks = Vec::new();
+        for gid in base.chain(delta) {
+            let rank = tie_rank(sharded, gid);
+            assert_eq!(mono.triple(TripleId(rank)), sharded.triple(gid), "{gid:?}");
+            ranks.push(rank);
+        }
+        ranks.sort_unstable();
+        assert_eq!(ranks, (0..mono.len() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tie_ranks_are_monolithic_ids_through_ingest_and_compaction() {
+        let batch = |b: &mut XkgBuilder| {
+            for i in 30..40u32 {
+                b.add_kg_resources(&format!("s{i}"), "q", "hub");
+            }
+        };
+        let mut union = builder();
+        batch(&mut union);
+        let union = union.build();
+        for shards in [2usize, 3, 7] {
+            let mut sharded = ShardedStore::build(builder(), shards);
+            assert_ranks_are_monolithic_ids(&sharded, &builder().build());
+            assert_eq!(sharded.ingest(batch), 10);
+            assert_ranks_are_monolithic_ids(&sharded, &union);
+            sharded.compact();
+            assert_ranks_are_monolithic_ids(&sharded, &union);
         }
     }
 

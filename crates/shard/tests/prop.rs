@@ -3,18 +3,17 @@
 //! The headline property — the acceptance bar of the sharding subsystem:
 //! **sharded execution returns answers score-equal to the single-store
 //! engine** on arbitrary stores, multi-pattern (join) queries, and
-//! relaxation rule sets, at 1, 2, 4, and 7 shards, with and without the
-//! parallel per-shard seed phase. Both sides run the *same* top-k
-//! configuration, so the comparison is exact (no rewriting-budget
-//! mismatch to tolerate); only membership of a trailing tied-score group
-//! is tie-break detail.
+//! relaxation rule sets, at 1, 2, 4, and 7 shards. Both sides run the
+//! *same* top-k configuration, so the comparison is exact (no
+//! rewriting-budget mismatch to tolerate); only membership of a
+//! trailing tied-score group is tie-break detail.
 
 use proptest::prelude::*;
 
 use trinit_query::exec::topk::{self, TopkConfig};
 use trinit_query::{Completeness, ExecBudget, Query};
 use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
-use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
+use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
 use trinit_xkg::{PostingList, Provenance, SlotPattern, SourceId, TermId, TermKind, Triple, XkgBuilder};
 
 fn tid(i: u32) -> TermId {
@@ -129,7 +128,7 @@ fn sharded_zero_mass_repeated_variable_agrees_with_monolith() {
         let sharded = ShardedStore::build(build(), shards);
         let exec = ShardedExecutor::new(&sharded);
         for cfg in [&cfg_tight, &cfg_loose] {
-            let run = exec.run(&query, &RuleSet::new(), cfg, SeedMode::Off);
+            let run = exec.run(&query, &RuleSet::new(), cfg);
             assert_answers_equivalent(&run.answers, &mono);
         }
     }
@@ -139,7 +138,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Sharded ≡ single-store on multi-pattern queries with relaxation,
-    /// across shard counts and seed modes.
+    /// across shard counts.
     #[test]
     fn sharded_execution_equals_single_store(
         rows in store_strategy(6, 40),
@@ -155,10 +154,13 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let run = exec.run(&query, &set, &cfg, mode);
-                assert_answers_equivalent(&run.answers, &mono);
-            }
+            let run = exec.run(&query, &set, &cfg);
+            assert_answers_equivalent(&run.answers, &mono);
+            // Tied shard heads emit in the monolith's order, so even a
+            // k-cut inside a tie group keeps the same answers.
+            let got: Vec<_> = run.answers.iter().map(|a| &a.key).collect();
+            let want: Vec<_> = mono.iter().map(|a| &a.key).collect();
+            prop_assert_eq!(got, want, "answer keys differ at {} shards", shards);
         }
     }
 
@@ -207,14 +209,13 @@ proptest! {
     /// (score desc, key asc) order `into_top_k` promises: with no k-cut,
     /// answers with bit-equal scores from *different shards* interleave
     /// in exactly the monolith's key order (never shard-major emission
-    /// order); with a cut inside a tied group, everything above the
-    /// boundary matches the monolith exactly and the returned tied run
-    /// is still key-ascending. Weights are small integers (conf 1.0) so
-    /// every normalization total and probability is computed on
-    /// identical operands mono and sharded, making scores bit-equal and
-    /// the assertions exact. (Which members of the boundary tie survive
-    /// the cut is emission-order tie-break detail, documented in
-    /// `testkit::assert_answers_score_equivalent`.)
+    /// order); with a cut inside a tied group, the sharded merge emits
+    /// tied heads in the monolith's order, so the same members of the
+    /// boundary tie survive and the returned tied run is still
+    /// key-ascending. Weights are small integers (conf 1.0) so every
+    /// normalization total and probability is computed on identical
+    /// operands mono and sharded, making scores bit-equal and the
+    /// assertions exact.
     #[test]
     fn cross_shard_ties_keep_deterministic_key_order(
         supports in proptest::collection::vec(1u8..4, 8..24),
@@ -254,32 +255,27 @@ proptest! {
         for shards in [2usize, 4, 7] {
             let sharded = ShardedStore::build(build(&supports), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let full = exec.run(&full_query, &RuleSet::new(), &cfg, mode);
-                prop_assert_eq!(full.answers.len(), mono_full.len());
-                for (a, b) in full.answers.iter().zip(&mono_full) {
-                    prop_assert_eq!(
-                        &a.key, &b.key,
-                        "uncut tie order diverged at {} shards ({:?})", shards, mode
-                    );
-                    prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
-                }
+            let full = exec.run(&full_query, &RuleSet::new(), &cfg);
+            prop_assert_eq!(full.answers.len(), mono_full.len());
+            for (a, b) in full.answers.iter().zip(&mono_full) {
+                prop_assert_eq!(
+                    &a.key, &b.key,
+                    "uncut tie order diverged at {} shards", shards
+                );
+                prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
+            }
 
-                let cut = exec.run(&cut_query, &RuleSet::new(), &cfg, mode);
-                prop_assert_eq!(cut.answers.len(), mono_cut.len());
-                let boundary = mono_cut.last().map(|a| a.score);
-                for (a, b) in cut.answers.iter().zip(&mono_cut) {
-                    prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
-                    if Some(a.score) != boundary {
-                        prop_assert_eq!(&a.key, &b.key, "order above the tie boundary");
-                    }
-                }
-                // Within the returned ranking, every tied run is in
-                // ascending key order — the promise `into_top_k` makes.
-                for w in cut.answers.windows(2) {
-                    if w[0].score == w[1].score {
-                        prop_assert!(w[0].key < w[1].key, "tied run not key-sorted");
-                    }
+            let cut = exec.run(&cut_query, &RuleSet::new(), &cfg);
+            prop_assert_eq!(cut.answers.len(), mono_cut.len());
+            for (a, b) in cut.answers.iter().zip(&mono_cut) {
+                prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
+                prop_assert_eq!(&a.key, &b.key, "cut inside a tie group kept other answers");
+            }
+            // Within the returned ranking, every tied run is in
+            // ascending key order — the promise `into_top_k` makes.
+            for w in cut.answers.windows(2) {
+                if w[0].score == w[1].score {
+                    prop_assert!(w[0].key < w[1].key, "tied run not key-sorted");
                 }
             }
         }
@@ -302,13 +298,11 @@ proptest! {
             &query,
             &set,
             &TopkConfig { tighten_threshold: true, ..TopkConfig::default() },
-            SeedMode::Off,
         );
         let loose = exec.run(
             &query,
             &set,
             &TopkConfig { tighten_threshold: false, ..TopkConfig::default() },
-            SeedMode::Off,
         );
         assert_answers_equivalent(&tight.answers, &loose.answers);
     }
@@ -317,10 +311,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The ε-approximate guarantee under sharding, at 1/2/4/7 shards
-    /// and both seed modes: rank-wise the sharded approximate ranking
-    /// is within ε of the *monolithic exact* ranking in probability
-    /// space, and ε = 0 stays answer-identical (bit-equal scores) and
+    /// The ε-approximate guarantee under sharding, at 1/2/4/7 shards:
+    /// rank-wise the sharded approximate ranking is within ε of the
+    /// *monolithic exact* ranking in probability space, and ε = 0
+    /// stays answer-identical (bit-equal scores) and
     /// pull-count-identical to the sharded exact engine.
     #[test]
     fn sharded_epsilon_within_eps_of_exact_monolith(
@@ -341,51 +335,47 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let exact_run = exec.run(&query, &set, &cfg, mode);
-                let approx_run = exec.run(&query, &set, &approx_cfg, mode);
-                for (r, e) in mono.iter().enumerate() {
-                    let pe = e.score.exp();
-                    let pa = approx_run.answers.get(r).map_or(0.0, |a| a.score.exp());
-                    prop_assert!(
-                        pa >= pe - eps - 1e-9,
-                        "{} shards ({:?}), rank {}: approx {} not within ε={} of exact {}",
-                        shards, mode, r, pa, eps, pe
-                    );
-                }
+            let exact_run = exec.run(&query, &set, &cfg);
+            let approx_run = exec.run(&query, &set, &approx_cfg);
+            for (r, e) in mono.iter().enumerate() {
+                let pe = e.score.exp();
+                let pa = approx_run.answers.get(r).map_or(0.0, |a| a.score.exp());
                 prop_assert!(
-                    approx_run.metrics.pulls <= exact_run.metrics.pulls,
-                    "{} shards ({:?}): ε pulled more ({} > {})",
-                    shards, mode, approx_run.metrics.pulls, exact_run.metrics.pulls
+                    pa >= pe - eps - 1e-9,
+                    "{} shards, rank {}: approx {} not within ε={} of exact {}",
+                    shards, r, pa, eps, pe
                 );
-                // ε = 0: bit-identical to the sharded exact engine.
-                let eps0_run = exec.run(&query, &set, &eps0_cfg, mode);
-                prop_assert_eq!(eps0_run.answers.len(), exact_run.answers.len());
-                for (a, b) in eps0_run.answers.iter().zip(&exact_run.answers) {
-                    prop_assert_eq!(&a.key, &b.key);
-                    prop_assert_eq!(a.score, b.score, "ε=0 changed a sharded score");
-                }
-                prop_assert_eq!(
-                    eps0_run.metrics.pulls, exact_run.metrics.pulls,
-                    "ε=0 changed sharded pull counts"
-                );
-                prop_assert_eq!(eps0_run.metrics.approx_cutoffs, 0);
             }
+            prop_assert!(
+                approx_run.metrics.pulls <= exact_run.metrics.pulls,
+                "{} shards: ε pulled more ({} > {})",
+                shards, approx_run.metrics.pulls, exact_run.metrics.pulls
+            );
+            // ε = 0: bit-identical to the sharded exact engine.
+            let eps0_run = exec.run(&query, &set, &eps0_cfg);
+            prop_assert_eq!(eps0_run.answers.len(), exact_run.answers.len());
+            for (a, b) in eps0_run.answers.iter().zip(&exact_run.answers) {
+                prop_assert_eq!(&a.key, &b.key);
+                prop_assert_eq!(a.score, b.score, "ε=0 changed a sharded score");
+            }
+            prop_assert_eq!(
+                eps0_run.metrics.pulls, exact_run.metrics.pulls,
+                "ε=0 changed sharded pull counts"
+            );
+            prop_assert_eq!(eps0_run.metrics.approx_cutoffs, 0);
         }
     }
 
-    /// The work-stealing batch scheduler is answer-invisible: for
-    /// arbitrary stores, rule sets, and query batches, stolen execution
-    /// returns exactly what per-query execution returns, at every
-    /// worker count.
+    /// The batch pool is answer-invisible: for arbitrary stores, rule
+    /// sets, and query batches, pooled execution returns exactly what
+    /// per-query execution returns, at 1, 2, and 4 workers.
     #[test]
-    fn stolen_batches_equal_per_query_execution(
+    fn pooled_batches_equal_per_query_execution(
         rows in store_strategy(5, 32),
         patterns_a in pattern_strategy(3, 5),
         patterns_b in pattern_strategy(3, 5),
         rules in rules_strategy(5),
         k in 1usize..8,
-        workers in 1usize..5,
     ) {
         let set: RuleSet = rules.into_iter().collect();
         let cfg = TopkConfig::default();
@@ -397,12 +387,15 @@ proptest! {
         for shards in [2usize, 3] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            let runs = exec.run_batch_stealing(&queries, &set, &cfg, workers);
-            prop_assert_eq!(runs.len(), queries.len());
-            for (run, q) in runs.iter().zip(&queries) {
-                let run = run.as_ref().expect("no worker panicked");
-                let want = exec.run(q, &set, &cfg, SeedMode::Off);
-                assert_answers_equivalent(&run.answers, &want.answers);
+            for workers in [1usize, 2, 4] {
+                let runs = QueryPool::new(workers)
+                    .try_execute(queries.clone(), |q| exec.run(&q, &set, &cfg));
+                prop_assert_eq!(runs.len(), queries.len());
+                for (run, q) in runs.iter().zip(&queries) {
+                    let run = run.as_ref().expect("no worker panicked");
+                    let want = exec.run(q, &set, &cfg);
+                    assert_answers_equivalent(&run.answers, &want.answers);
+                }
             }
         }
     }
@@ -410,7 +403,7 @@ proptest! {
     /// Budget governance is free when nothing binds: ε = 0 under an
     /// effectively infinite budget is **bit-identical** to the
     /// ungoverned exact path — same answers, same scores, same pull
-    /// counts — monolithic and at 1/2/4/7 shards in both seed modes,
+    /// counts — monolithic and at 1/2/4/7 shards,
     /// and every run is labeled [`Completeness::Exact`].
     #[test]
     fn governed_unlimited_budget_is_bit_identical_to_exact(
@@ -452,23 +445,21 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let exact_run = exec.run(&query, &set, &cfg, mode);
-                let gov_run = exec.run(&query, &set, &governed_cfg, mode);
-                prop_assert_eq!(gov_run.answers.len(), exact_run.answers.len());
-                for (a, b) in gov_run.answers.iter().zip(&exact_run.answers) {
-                    prop_assert_eq!(&a.key, &b.key);
-                    prop_assert_eq!(
-                        a.score, b.score,
-                        "budget changed a sharded score at {} shards ({:?})", shards, mode
-                    );
-                }
+            let exact_run = exec.run(&query, &set, &cfg);
+            let gov_run = exec.run(&query, &set, &governed_cfg);
+            prop_assert_eq!(gov_run.answers.len(), exact_run.answers.len());
+            for (a, b) in gov_run.answers.iter().zip(&exact_run.answers) {
+                prop_assert_eq!(&a.key, &b.key);
                 prop_assert_eq!(
-                    gov_run.metrics.pulls, exact_run.metrics.pulls,
-                    "budget changed sharded pull counts at {} shards ({:?})", shards, mode
+                    a.score, b.score,
+                    "budget changed a sharded score at {} shards", shards
                 );
-                prop_assert_eq!(gov_run.completeness, Completeness::Exact);
             }
+            prop_assert_eq!(
+                gov_run.metrics.pulls, exact_run.metrics.pulls,
+                "budget changed sharded pull counts at {} shards", shards
+            );
+            prop_assert_eq!(gov_run.completeness, Completeness::Exact);
         }
     }
 }
