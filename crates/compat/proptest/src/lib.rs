@@ -8,11 +8,20 @@
 //! `proptest!` / `prop_oneof!` / `prop_assert!` / `prop_assert_eq!`
 //! macros.
 //!
-//! Semantics: each test runs `ProptestConfig::cases` random cases seeded
-//! deterministically from the test's name, and assertion failures panic
-//! like ordinary `assert!`. There is **no shrinking** and no failure
-//! persistence — a failing case reports its generated values via the
-//! assertion message only.
+//! Semantics: each test runs `ProptestConfig::cases` random cases from
+//! a generator seeded by the test's name and a run seed, and assertion
+//! failures panic like ordinary `assert!`. There is **no shrinking** and
+//! no failure persistence. Instead a failing case prints its index and
+//! the command that replays the run: cases are drawn in order and a
+//! property stops at its first failure, so the same seed reaches the
+//! same failing case again.
+//!
+//! Environment overrides, read when a property test starts:
+//!
+//! * `PROPTEST_SEED=<u64>` — the run seed (default 0). Seed 0 is the
+//!   fixed per-name sequence; any other seed explores new cases.
+//! * `PROPTEST_CASES=<u32>` — the number of cases, replacing every
+//!   test's configured count.
 
 pub mod test_runner {
     //! Deterministic case generation and run configuration.
@@ -47,13 +56,22 @@ pub mod test_runner {
         /// Seeds a generator from a test name, so each property test has
         /// a stable, reproducible case sequence.
         pub fn for_test(name: &str) -> TestRng {
+            TestRng::for_test_seeded(name, 0)
+        }
+
+        /// Seeds a generator from a test name and a run seed. Seed 0 is
+        /// [`TestRng::for_test`]'s sequence; other seeds give other
+        /// sequences for the same test.
+        pub fn for_test_seeded(name: &str, seed: u64) -> TestRng {
             // FNV-1a over the name.
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for b in name.bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
-            TestRng { state: h | 1 }
+            TestRng {
+                state: (h ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1,
+            }
         }
 
         /// Next raw word.
@@ -75,6 +93,121 @@ pub mod test_runner {
         pub fn below(&mut self, bound: u64) -> u64 {
             debug_assert!(bound > 0);
             self.next_u64() % bound
+        }
+    }
+
+    /// Overrides a run takes from the environment (see the crate docs).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Overrides {
+        /// `PROPTEST_SEED`: the run seed; 0 when unset.
+        pub seed: u64,
+        /// `PROPTEST_CASES`: replaces the configured case count.
+        pub cases: Option<u32>,
+    }
+
+    impl Overrides {
+        /// Reads `PROPTEST_SEED` and `PROPTEST_CASES`.
+        /// A set but unparsable value panics, so a typo cannot silently
+        /// fall back to the default run.
+        pub fn from_env() -> Overrides {
+            fn read<T: std::str::FromStr>(var: &str) -> Option<T> {
+                let raw = std::env::var(var).ok()?;
+                match raw.trim().parse() {
+                    Ok(v) => Some(v),
+                    Err(_) => panic!("{var}={raw:?} is not a valid number"),
+                }
+            }
+            Overrides {
+                seed: read("PROPTEST_SEED").unwrap_or(0),
+                cases: read("PROPTEST_CASES"),
+            }
+        }
+    }
+
+    /// One property test's run: how many cases, and the replay line
+    /// printed when one fails.
+    #[derive(Debug, Clone)]
+    pub struct CaseRunner {
+        name: &'static str,
+        package: &'static str,
+        overrides: Overrides,
+        cases: u32,
+    }
+
+    impl CaseRunner {
+        /// The run of test `name` in `package` under `config`, with the
+        /// environment's overrides.
+        pub fn new(
+            name: &'static str,
+            package: &'static str,
+            config: &ProptestConfig,
+        ) -> CaseRunner {
+            CaseRunner::with_overrides(name, package, config, Overrides::from_env())
+        }
+
+        /// The run of test `name` in `package` under `config` and
+        /// explicit `overrides`.
+        pub fn with_overrides(
+            name: &'static str,
+            package: &'static str,
+            config: &ProptestConfig,
+            overrides: Overrides,
+        ) -> CaseRunner {
+            CaseRunner {
+                name,
+                package,
+                overrides,
+                cases: overrides.cases.unwrap_or(config.cases),
+            }
+        }
+
+        /// Number of cases to generate.
+        pub fn cases(&self) -> u32 {
+            self.cases
+        }
+
+        /// The generator for this run: cases are drawn from it in order.
+        pub fn rng(&self) -> TestRng {
+            TestRng::for_test_seeded(self.name, self.overrides.seed)
+        }
+
+        /// The command that re-runs this test with the same cases.
+        pub fn replay_line(&self) -> String {
+            let cases = self
+                .overrides
+                .cases
+                .map_or(String::new(), |n| format!("PROPTEST_CASES={n} "));
+            format!(
+                "PROPTEST_SEED={} {cases}cargo test -p {} {}",
+                self.overrides.seed, self.package, self.name
+            )
+        }
+
+        /// A guard for running case `case`: if the case panics, dropping
+        /// the guard during the unwind prints the replay line.
+        pub fn guard(&self, case: u32) -> CaseGuard<'_> {
+            CaseGuard { runner: self, case }
+        }
+    }
+
+    /// See [`CaseRunner::guard`].
+    #[derive(Debug)]
+    pub struct CaseGuard<'r> {
+        runner: &'r CaseRunner,
+        case: u32,
+    }
+
+    impl Drop for CaseGuard<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "proptest: {} failed at case {} of {}; replay with: {}",
+                    self.runner.name,
+                    self.case,
+                    self.runner.cases,
+                    self.runner.replay_line()
+                );
+            }
         }
     }
 }
@@ -370,11 +503,17 @@ macro_rules! __proptest_fns {
             $(#[$meta])*
             fn $name() {
                 let __config: $crate::test_runner::ProptestConfig = $cfg;
-                let mut __rng = $crate::test_runner::TestRng::for_test(stringify!($name));
-                for __case in 0..__config.cases {
-                    let _ = __case;
+                let __runner = $crate::test_runner::CaseRunner::new(
+                    stringify!($name),
+                    env!("CARGO_PKG_NAME"),
+                    &__config,
+                );
+                let mut __rng = __runner.rng();
+                for __case in 0..__runner.cases() {
                     $crate::__proptest_bind!(__rng; $($params)*);
+                    let __guard = __runner.guard(__case);
                     $body
+                    drop(__guard);
                 }
             }
         )*
@@ -474,6 +613,42 @@ mod tests {
         let o = crate::option::of(0u8..3);
         let nones = (0..400).filter(|_| o.generate(&mut rng).is_none()).count();
         assert!(nones > 40 && nones < 200, "{nones}");
+    }
+
+    #[test]
+    fn seed_zero_is_the_per_name_sequence_and_other_seeds_explore() {
+        use crate::test_runner::TestRng;
+        let draw = |mut rng: TestRng| (0..8).map(|_| rng.next_u64()).collect::<Vec<_>>();
+        let base = draw(TestRng::for_test("t"));
+        assert_eq!(draw(TestRng::for_test_seeded("t", 0)), base);
+        assert_ne!(draw(TestRng::for_test_seeded("t", 1)), base);
+        assert_ne!(
+            draw(TestRng::for_test_seeded("t", 2)),
+            draw(TestRng::for_test_seeded("t", 1))
+        );
+        assert_ne!(
+            draw(TestRng::for_test_seeded("u", 1)),
+            draw(TestRng::for_test_seeded("t", 1))
+        );
+    }
+
+    #[test]
+    fn overrides_set_cases_and_name_the_replay_command() {
+        use crate::test_runner::{CaseRunner, Overrides};
+        let config = ProptestConfig::with_cases(10);
+        let plain = CaseRunner::with_overrides("t", "pkg", &config, Overrides::default());
+        assert_eq!(plain.cases(), 10);
+        assert_eq!(plain.replay_line(), "PROPTEST_SEED=0 cargo test -p pkg t");
+        let more = Overrides {
+            seed: 7,
+            cases: Some(300),
+        };
+        let runner = CaseRunner::with_overrides("t", "pkg", &config, more);
+        assert_eq!(runner.cases(), 300);
+        assert_eq!(
+            runner.replay_line(),
+            "PROPTEST_SEED=7 PROPTEST_CASES=300 cargo test -p pkg t"
+        );
     }
 
     proptest! {

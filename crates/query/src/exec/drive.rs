@@ -17,20 +17,33 @@
 //!   `peek_bound` / `next_merged` / `remaining_mass`.
 //! * **[`crate::exec::join`]** (stage 2) holds the per-stream join
 //!   state ([`Stream`]) and combines each arrival against the other
-//!   streams' partitions ([`join::join_with_others`]).
+//!   streams' partitions ([`JoinScratch::join_arrival`]).
 //! * **[`crate::exec::threshold`]** (stage 3) decides termination: the
 //!   driver asks [`ThresholdPolicy::admit_variant`] before opening a
 //!   variant and [`ThresholdPolicy::after_round`] after every pull.
 //!
 //! [`run_pipeline`] is the seam partitioned execution shares: it is
-//! generic over a *source factory* (`FnMut(&QPattern, u16) -> M`), so
-//! the monolithic engine ([`run_governed`] with an [`IncrementalMerge`]
+//! generic over a *source factory* (`FnMut(&Rc<[Alternative]>, usize)
+//! -> M`, given a pattern's alternatives and its position), so the
+//! monolithic engine ([`run_governed`] with an [`IncrementalMerge`]
 //! factory) and the sharded engine
 //! ([`crate::exec::sharded::run_partitioned`] with a `ShardedMerge`
 //! factory) assemble the identical pipeline around different stage-1
 //! sources — every line of join, threshold, capping, and collection
 //! logic is shared, which is what makes the sharded engine's
 //! score-equality (and the ε mode's guarantee) carry over verbatim.
+//! [`run_pipeline`] computes each pattern's alternatives once, so every
+//! slice's source reads the same table, and numbers their fresh
+//! variables back to back from the counts they actually use.
+//!
+//! **Per-pull contract.** One round of the pull loop — elect the stream
+//! with the highest frontier, pull it, join the arrival, remember it,
+//! and run the termination pass — allocates nothing in the steady
+//! state. Only opening a posting list and offering a completed answer
+//! to the collector allocate; seen items, bucket chains and the
+//! residual lists grow amortized. Frontiers are cached per stream and
+//! re-read from the source only for the stream just pulled, so a
+//! round costs one `ln` rather than one per stream per bound read.
 //!
 //! **Structural variants** (multi-pattern rules, e.g. paper rule 1)
 //! rewrite the query as a whole; each variant runs through the pipeline
@@ -45,11 +58,13 @@ use trinit_relax::{
 };
 use trinit_xkg::XkgStore;
 
-use crate::answer::{Answer, AnswerCollector, Bindings};
+use crate::answer::{Answer, AnswerCollector};
 use crate::ast::Query;
 use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget};
-use crate::exec::join::{self, Stream};
-use crate::exec::merge::{is_mergeable, IncrementalMerge, RankSource};
+use crate::exec::join::{self, JoinScratch, Stream};
+use crate::exec::merge::{
+    is_mergeable, pattern_alternatives, Alternative, IncrementalMerge, RankSource,
+};
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{ln_weight, PostingCache, SharedPostingCache};
@@ -241,15 +256,13 @@ fn run_monolithic(
         &mut metrics,
         tracker,
         recorder,
-        |pattern, fresh_base, _| {
-            IncrementalMerge::for_pattern(
+        |alts, _| {
+            IncrementalMerge::new(
                 store,
-                pattern,
-                rules,
-                cfg,
-                fresh_base,
+                Rc::clone(alts),
                 Rc::clone(&cache),
                 shared,
+                cfg.tighten_threshold,
                 None,
             )
         },
@@ -318,7 +331,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
     metrics: &mut ExecMetrics,
     tracker: &BudgetTracker,
     recorder: &mut TraceRecorder,
-    mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
+    mut source_for: impl FnMut(&Rc<[Alternative]>, usize) -> M,
 ) -> Vec<Answer> {
     let projection = query.effective_projection();
     let k = query.k.max(1);
@@ -344,32 +357,36 @@ pub(crate) fn run_pipeline<M: RankSource>(
             continue;
         }
         let variant_start = recorder.start();
-        let max_var = join::max_var_of(&patterns);
-        let join_vars = join::join_vars_of(&patterns);
-        let mut streams: Vec<Stream<M>> = patterns
+        // Fresh-variable ranges are allocated back to back from the
+        // counts each pattern's alternatives actually use. The
+        // alternatives are computed once per pattern, so every slice's
+        // source (shards, segments) shares one identical table.
+        let mut fresh_next = join::max_var_of(&patterns);
+        let mut streams: Vec<Stream<M>> = Vec::with_capacity(patterns.len());
+        for (i, (pattern, join_vars)) in patterns
             .iter()
-            .zip(join_vars)
+            .zip(join::join_vars_of(&patterns))
             .enumerate()
-            .map(|(i, (pattern, join_vars))| {
-                // Disjoint fresh-variable ranges per pattern — and the
-                // same base across shards, so every slice derives the
-                // identical alternative set.
-                let fresh_base = max_var + (i as u16) * 8;
-                // `i` is the pattern's position in the (variant's) query
-                // — segmented execution uses it to restrict one pattern
-                // to the delta slices (semi-naive delta queries).
-                Stream::new(source_for(pattern, fresh_base, i), join_vars)
-            })
-            .collect();
+        {
+            let alts: Rc<[Alternative]> =
+                pattern_alternatives(pattern, rules, cfg, &mut fresh_next).into();
+            // `i` is the pattern's position in the (variant's) query —
+            // segmented execution uses it to restrict one pattern to the
+            // delta slices (semi-naive delta queries).
+            streams.push(Stream::new(source_for(&alts, i), alts, join_vars));
+        }
+        let mut scratch = JoinScratch::new(
+            usize::from(fresh_next),
+            ln_weight(variant_weight),
+            &variant_trace,
+            &projection,
+        );
         cut = !rank_join(
             lookup,
             cfg,
             &mut streams,
-            ln_weight(variant_weight),
-            &variant_trace,
-            &projection,
+            &mut scratch,
             k,
-            max_var as usize + 64, // headroom for fresh variables
             &mut collector,
             metrics,
             tracker,
@@ -449,16 +466,14 @@ pub(crate) fn rank_join<M: RankSource>(
     lookup: &dyn TripleLookup,
     cfg: &TopkConfig,
     streams: &mut [Stream<M>],
-    variant_log: f64,
-    variant_trace: &[RuleId],
-    projection: &[trinit_relax::VarId],
+    scratch: &mut JoinScratch<'_>,
     k: usize,
-    n_vars: usize,
     collector: &mut AnswerCollector,
     metrics: &mut ExecMetrics,
     tracker: &BudgetTracker,
     recorder: &mut TraceRecorder,
 ) -> bool {
+    let variant_log = scratch.variant_log();
     let mut policy = ThresholdPolicy::new(cfg, k, streams.len(), tracker);
     match policy.admit_variant(streams, variant_log, collector, metrics) {
         Admission::Admit => {}
@@ -469,26 +484,25 @@ pub(crate) fn rank_join<M: RankSource>(
         }
     }
 
-    // Scratch assignment for the combination loop; `join_with_others`
-    // always restores it to fully unbound.
-    let mut scratch = Bindings::new(n_vars);
     let mut window = PullWindow::new(recorder);
 
     // Pick the non-exhausted, non-capped stream with the highest
-    // frontier each round.
+    // (cached) frontier each round.
     while let Some(next) = (0..streams.len())
         .filter(|&i| !streams[i].exhausted && !streams[i].capped)
-        .max_by(|&a, &b| streams[a].frontier_log().total_cmp(&streams[b].frontier_log()))
+        .max_by(|&a, &b| {
+            streams[a]
+                .frontier_log()
+                .total_cmp(&streams[b].frontier_log())
+        })
     {
         metrics.pulls += 1;
         tracker.on_pull();
         window.tick(recorder);
         #[cfg(feature = "faults")]
         crate::exec::faults::on_pull();
-        let merged = streams[next].merge.next_merged(metrics, recorder);
-        match merged {
+        match streams[next].pull(metrics, recorder) {
             None => {
-                streams[next].exhausted = true;
                 // A stream with no matches at all kills the variant.
                 if streams[next].seen.is_empty() {
                     window.flush(recorder);
@@ -496,26 +510,13 @@ pub(crate) fn rank_join<M: RankSource>(
                 }
             }
             Some(m) => {
-                let Some(bound) = join::bind_pairs(&m.pattern, lookup, m.triple) else {
+                let Some(item) = streams[next].seen_item(m, lookup) else {
                     continue;
                 };
-                let log_score = ln_weight(m.prob);
-                let item = join::SeenItem {
-                    bound,
-                    log_score,
-                    pattern: m.pattern,
-                    triple: m.triple,
-                    trace: m.trace,
-                    weight: m.weight,
-                };
-
                 // Join the new item with the seen items of other streams
                 // (its own stream is skipped, so joining before remembering
                 // the item is equivalent).
-                join::join_with_others(
-                    streams, next, &item, variant_log, variant_trace, projection, &mut scratch,
-                    collector, metrics,
-                );
+                scratch.join_arrival(streams, next, item, collector, metrics);
                 streams[next].push_seen(item);
             }
         }
@@ -864,6 +865,63 @@ mod tests {
             metrics.join_candidates
         );
         assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new()));
+    }
+
+    #[test]
+    fn many_fresh_variable_alternatives_do_not_alias_across_streams() {
+        // `?x a ?y . ?y b ?w` with nine `?x a ?y → ?z cᵢ ?y` rules (one
+        // fresh variable each) and one `?y b ?w → ?y d ?z` rule. The
+        // only answer joins the ninth `a` alternative with the `d`
+        // alternative. Each stream's fresh variables must come from a
+        // range of its own, however many its alternatives allocate:
+        // shared ids would join the two fresh `?z`s and lose the answer.
+        use trinit_relax::{RVar, TTerm, Template};
+        let mut b = XkgBuilder::new();
+        b.add_kg_resources("a0", "a", "a1");
+        b.add_kg_resources("b0", "b", "b1");
+        for i in 0..9 {
+            b.add_kg_resources(&format!("s{i}"), &format!("c{i}"), &format!("t{i}"));
+        }
+        b.add_kg_resources("s8", "c8", "Y");
+        b.add_kg_resources("Y", "d", "O");
+        let store = b.build();
+        let term = |name: &str| TTerm::Const(store.resource(name).unwrap());
+        let (x, y, z) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)), TTerm::Var(RVar(2)));
+        let mut rules = RuleSet::new();
+        for i in 0..9 {
+            rules.add(Rule::structural(
+                format!("a→c{i}"),
+                vec![Template::new(x, term("a"), y)],
+                vec![Template::new(z, term(&format!("c{i}")), y)],
+                0.5,
+                RuleProvenance::UserDefined,
+            ));
+        }
+        rules.add(Rule::structural(
+            "b→d",
+            vec![Template::new(y, term("b"), x)],
+            vec![Template::new(y, term("d"), z)],
+            0.5,
+            RuleProvenance::UserDefined,
+        ));
+        let q = QueryBuilder::new(&store)
+            .pattern_v_r_v("x", "a", "y")
+            .pattern_v_r_v("y", "b", "w")
+            .limit(10)
+            .build();
+        let full = reference(&store, &q, &rules);
+        assert_eq!(full.len(), 1, "the reference finds the one answer");
+        let (inc, _) = run(
+            &store,
+            &q,
+            &rules,
+            &TopkConfig {
+                structural_depth: 0,
+                min_weight: 0.0,
+                ..Default::default()
+            },
+        );
+        assert_same_answers(&inc, &full);
     }
 
     #[test]

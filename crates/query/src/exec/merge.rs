@@ -51,38 +51,35 @@ pub(crate) fn is_mergeable(rule: &Rule) -> bool {
     rule.lhs.len() == 1 && rule.rhs.len() == 1 && rule.lhs_predicate().is_some()
 }
 
-/// One relaxed form of a single pattern.
-#[derive(Debug, Clone)]
-pub(crate) struct Alternative<'s> {
+/// One relaxed form of a single pattern. Store-independent: one table
+/// per pattern serves every slice's merge and the rank join, which
+/// keeps only an alternative's index per seen item and reads the
+/// pattern, weight and trace from here.
+#[derive(Debug)]
+pub(crate) struct Alternative {
     pub(crate) pattern: QPattern,
     pub(crate) weight: f64,
     pub(crate) trace: Vec<RuleId>,
-    pub(crate) matches: Option<ScoredMatches<'s>>,
-    /// Sound upper bound on this alternative's best emission probability
-    /// before its list is opened: the exact head probability for
-    /// index-served shapes under the tightened threshold, 1.0 otherwise.
-    pub(crate) head_bound: f64,
 }
 
 /// Computes the alternatives of one pattern under the mergeable rules.
 ///
-/// `fresh_base` is the first variable id this pattern may allocate for
-/// RHS-fresh rule variables; callers give each pattern a disjoint range
-/// so fresh variables of different streams never alias.
-pub(crate) fn pattern_alternatives<'s>(
+/// Rule-introduced fresh variables are numbered from `*fresh_next`,
+/// which is advanced past every id this pattern allocates. Callers
+/// thread one counter through a variant's patterns, so the fresh
+/// variables of different streams never alias, however many
+/// alternatives allocate them.
+pub(crate) fn pattern_alternatives(
     pattern: &QPattern,
     rules: &RuleSet,
     cfg: &TopkConfig,
-    fresh_base: u16,
-) -> Vec<Alternative<'s>> {
-    let mut out: Vec<Alternative<'s>> = vec![Alternative {
+    fresh_next: &mut u16,
+) -> Vec<Alternative> {
+    let mut out: Vec<Alternative> = vec![Alternative {
         pattern: *pattern,
         weight: 1.0,
         trace: Vec::new(),
-        matches: None,
-        head_bound: 1.0,
     }];
-    let mut fresh_next = fresh_base;
     let mut frontier = vec![0usize]; // indices into `out`
     for _ in 0..cfg.chain_depth {
         let mut next_frontier = Vec::new();
@@ -108,7 +105,7 @@ pub(crate) fn pattern_alternatives<'s>(
                         continue;
                     };
                     // Remap any fresh variables into this pattern's range.
-                    let new_pattern = remap_fresh(*new_pattern, &cur_pattern, &mut fresh_next);
+                    let new_pattern = remap_fresh(*new_pattern, &cur_pattern, fresh_next);
                     match out.iter_mut().find(|a| a.pattern == new_pattern) {
                         Some(existing) => {
                             if weight > existing.weight {
@@ -130,8 +127,6 @@ pub(crate) fn pattern_alternatives<'s>(
                                 pattern: new_pattern,
                                 weight,
                                 trace,
-                                matches: None,
-                                head_bound: 1.0,
                             });
                             next_frontier.push(out.len() - 1);
                         }
@@ -236,19 +231,17 @@ pub trait RankSource {
     fn remaining_mass(&self) -> f64;
 }
 
-/// An emission of the incremental merge.
-#[derive(Debug, Clone)]
+/// An emission of the incremental merge. `Copy` and heap-free: the
+/// alternative is named by its index into the pattern's alternative
+/// table, which the rank join reads only when it offers an answer.
+#[derive(Debug, Clone, Copy)]
 pub struct Merged {
     /// The matched triple.
     pub triple: TripleId,
     /// Combined probability `w_alt × P(t | alt pattern)`.
     pub prob: f64,
-    /// The alternative's pattern (needed to bind variables).
-    pub pattern: QPattern,
-    /// Rules on the alternative's chain.
-    pub trace: Vec<RuleId>,
-    /// The alternative's weight.
-    pub weight: f64,
+    /// Index of the emitting alternative in the pattern's alternatives.
+    pub alt: u32,
 }
 
 /// Incremental merge over one pattern's alternatives (Theobald et al.
@@ -257,7 +250,17 @@ pub struct Merged {
 /// when its upper bound reaches the top of the queue.
 pub struct IncrementalMerge<'a> {
     store: &'a XkgStore,
-    alts: Vec<Alternative<'a>>,
+    /// The pattern's alternatives, shared with the rank join's stream
+    /// and with the other slices' merges of the same pattern.
+    alts: Rc<[Alternative]>,
+    /// Each alternative's posting list, once opened (parallel to
+    /// `alts`).
+    lists: Vec<Option<ScoredMatches<'a>>>,
+    /// Each alternative's head bound (parallel to `alts`): a sound
+    /// upper bound on its best emission probability before its list is
+    /// opened — the exact head probability for index-served shapes
+    /// under the tightened threshold, 1.0 otherwise.
+    head_bounds: Vec<f64>,
     heap: BinaryHeap<MergeEntry>,
     /// Shared per-execution posting cache: structural variants and
     /// alternatives with the same canonical pattern reuse one
@@ -279,16 +282,19 @@ pub struct IncrementalMerge<'a> {
 }
 
 impl<'a> IncrementalMerge<'a> {
+    /// The merge over `alts` (one pattern's alternatives, see
+    /// [`pattern_alternatives`]) against `store`.
     pub(crate) fn new(
         store: &'a XkgStore,
-        mut alts: Vec<Alternative<'a>>,
+        alts: Rc<[Alternative]>,
         cache: Rc<RefCell<PostingCache>>,
         shared: Option<&'a SharedPostingCache>,
         tighten: bool,
         totals: Option<&'a dyn GlobalTotals>,
     ) -> IncrementalMerge<'a> {
         let mut heap = BinaryHeap::with_capacity(alts.len());
-        for (i, alt) in alts.iter_mut().enumerate() {
+        let mut head_bounds = vec![1.0; alts.len()];
+        for (i, alt) in alts.iter().enumerate() {
             if tighten {
                 // Exact head probability for index-served shapes
                 // (anchored subject/object strata included), read in
@@ -298,51 +304,39 @@ impl<'a> IncrementalMerge<'a> {
                 // partitioned store the head weight is divided by the
                 // *global* total, so each shard enters the merge at its
                 // exact globally-normalized head.
-                alt.head_bound = head_prob_bound_global(store, &alt.pattern, totals);
+                head_bounds[i] = head_prob_bound_global(store, &alt.pattern, totals);
                 // A head bound of exactly 0 is only reported for
                 // index-served shapes whose match set carries no
                 // emission mass (empty or all-zero-weight groups, which
                 // the index serves as empty lists): skip such
                 // alternatives outright instead of letting a zero-keyed
                 // heap entry linger for the threshold to trip over.
-                if alt.head_bound <= 0.0 {
+                if head_bounds[i] <= 0.0 {
                     continue;
                 }
             }
             heap.push(MergeEntry {
-                bound: alt.weight * alt.head_bound,
+                bound: alt.weight * head_bounds[i],
                 alt: i,
                 opened: false,
             });
         }
-        let mass_upper = alts.iter().map(|a| a.weight * a.head_bound).sum();
+        let mass_upper = alts
+            .iter()
+            .zip(&head_bounds)
+            .map(|(a, h)| a.weight * h)
+            .sum();
         IncrementalMerge {
             store,
+            lists: (0..alts.len()).map(|_| None).collect(),
             alts,
+            head_bounds,
             heap,
             cache,
             shared,
             totals,
             mass_upper,
         }
-    }
-
-    /// Builds the merge over `pattern`'s alternatives under `rules` —
-    /// the building block both the monolithic driver and the sharded
-    /// merge instantiate, once per pattern (per shard).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn for_pattern(
-        store: &'a XkgStore,
-        pattern: &QPattern,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        fresh_base: u16,
-        cache: Rc<RefCell<PostingCache>>,
-        shared: Option<&'a SharedPostingCache>,
-        totals: Option<&'a dyn GlobalTotals>,
-    ) -> IncrementalMerge<'a> {
-        let alts = pattern_alternatives(pattern, rules, cfg, fresh_base);
-        IncrementalMerge::new(store, alts, cache, shared, cfg.tighten_threshold, totals)
     }
 
     /// Upper bound on the probability of the next emission, or `None` if
@@ -364,7 +358,7 @@ impl<'a> IncrementalMerge<'a> {
     /// relaxation is "invoked" — and re-queues it at its exact head
     /// probability.
     fn open_entry(&mut self, entry: MergeEntry, metrics: &mut ExecMetrics) {
-        let alt = &mut self.alts[entry.alt];
+        let alt = &self.alts[entry.alt];
         // The cache serves structural variants sharing this canonical
         // pattern.
         if !alt.trace.is_empty() {
@@ -404,8 +398,8 @@ impl<'a> IncrementalMerge<'a> {
         }
         // Replace the alternative's head-bound contribution with its
         // actual (full) list mass.
-        self.mass_upper += alt.weight * (matches.remaining_mass() - alt.head_bound);
-        alt.matches = Some(matches);
+        self.mass_upper += alt.weight * (matches.remaining_mass() - self.head_bounds[entry.alt]);
+        self.lists[entry.alt] = Some(matches);
     }
 
     /// Opens alternatives until the top of the queue is an *opened* list
@@ -439,7 +433,7 @@ impl<'a> IncrementalMerge<'a> {
     /// by this key.
     pub fn head_key(&self) -> Option<(usize, TripleId)> {
         let top = self.heap.peek().filter(|e| e.opened)?;
-        let triple = self.alts[top.alt].matches.as_ref()?.peek_triple()?;
+        let triple = self.lists[top.alt].as_ref()?.peek_triple()?;
         Some((top.alt, triple))
     }
 
@@ -451,31 +445,29 @@ impl<'a> IncrementalMerge<'a> {
                 self.open_entry(entry, metrics);
                 continue;
             }
-            let alt = &mut self.alts[entry.alt];
+            let weight = self.alts[entry.alt].weight;
             // An `opened` entry always has materialized matches; if the
             // invariant ever broke, dropping the entry degrades to a
             // skipped alternative instead of panicking mid-serve.
-            let Some(matches) = alt.matches.as_mut() else {
+            let Some(matches) = self.lists[entry.alt].as_mut() else {
                 continue;
             };
             let Some((triple, prob)) = matches.next_entry() else {
                 continue;
             };
-            self.mass_upper -= alt.weight * prob;
+            self.mass_upper -= weight * prob;
             metrics.postings_scanned += 1;
             if let Some(p) = matches.peek_prob() {
                 self.heap.push(MergeEntry {
-                    bound: alt.weight * p,
+                    bound: weight * p,
                     alt: entry.alt,
                     opened: true,
                 });
             }
             return Some(Merged {
                 triple,
-                prob: alt.weight * prob,
-                pattern: alt.pattern,
-                trace: alt.trace.clone(),
-                weight: alt.weight,
+                prob: weight * prob,
+                alt: entry.alt as u32,
             });
         }
     }
@@ -537,7 +529,7 @@ mod tests {
             ),
         ] {
             for tighten in [true, false] {
-                let alts = pattern_alternatives(&pattern, &rules, &cfg, 10);
+                let alts = pattern_alternatives(&pattern, &rules, &cfg, &mut 10).into();
                 let cache = Rc::new(RefCell::new(PostingCache::new()));
                 let mut merge = IncrementalMerge::new(&store, alts, cache, None, tighten, None);
                 let mut metrics = ExecMetrics::default();

@@ -188,23 +188,18 @@ impl<'a> ShardedMerge<'a> {
 
     /// Runs `f` against shard `i`'s merge, folding the move of its mass
     /// envelope into the incrementally tracked union sum. The work `f`
-    /// records lands in **both** the shard's per-shard slot and the
-    /// caller's aggregate metrics (`passed`), so monolithic and sharded
-    /// accounting read the same way — the aggregate sees merge-phase
-    /// pulls as they happen, the slots keep per-shard attribution.
+    /// records is counted straight into the shard's slot;
+    /// [`run_partitioned`] folds the slots into the aggregate once the
+    /// run ends.
     fn with_mass_delta<T>(
         &mut self,
         i: usize,
-        passed: &mut ExecMetrics,
         f: impl FnOnce(&mut IncrementalMerge<'a>, &mut ExecMetrics) -> T,
     ) -> T {
-        let slot = self.slots[i];
-        let before = self.shards[i].remaining_mass();
-        let mut local = ExecMetrics::default();
-        let out = f(&mut self.shards[i], &mut local);
-        self.mass += self.shards[i].remaining_mass() - before;
-        self.metrics.borrow_mut()[slot].merge(&local);
-        passed.merge(&local);
+        let shard = &mut self.shards[i];
+        let before = shard.remaining_mass();
+        let out = f(shard, &mut self.metrics.borrow_mut()[self.slots[i]]);
+        self.mass += shard.remaining_mass() - before;
         out
     }
 }
@@ -216,9 +211,11 @@ impl RankSource for ShardedMerge<'_> {
         self.heap.peek().map(|e| e.bound)
     }
 
+    /// Work is counted into the per-shard slots (see
+    /// [`ShardedMerge::with_mass_delta`]), not into `_metrics`.
     fn next_merged(
         &mut self,
-        metrics: &mut ExecMetrics,
+        _metrics: &mut ExecMetrics,
         recorder: &mut TraceRecorder,
     ) -> Option<Merged> {
         let obs_on = recorder.is_enabled();
@@ -237,8 +234,7 @@ impl RankSource for ShardedMerge<'_> {
                     // A bound can be loose (unopened alternatives).
                     // Tighten the head to its exact next probability.
                     let i = cand.idx;
-                    let tightened =
-                        self.with_mass_delta(i, metrics, |shard, m| shard.tighten_head(m));
+                    let tightened = self.with_mass_delta(i, |shard, m| shard.tighten_head(m));
                     let Some(tight) = tightened else {
                         // Exhausted while tightening — drop out of the
                         // election (re-enter only if a bound remains).
@@ -276,9 +272,7 @@ impl RankSource for ShardedMerge<'_> {
                 std::mem::swap(&mut *next, &mut cand);
             }
             let i = cand.idx;
-            let Some(mut merged) =
-                self.with_mass_delta(i, metrics, |shard, m| shard.next_merged(m))
-            else {
+            let Some(mut merged) = self.with_mass_delta(i, |shard, m| shard.next_merged(m)) else {
                 // A just-tightened head always emits; if the invariant
                 // ever broke, dropping the shard from this election
                 // degrades to a skipped emission instead of panicking.
@@ -455,7 +449,7 @@ pub fn run_partitioned(
         &mut metrics,
         tracker,
         recorder,
-        |pattern, fresh_base, position| {
+        |alts, position| {
             let range = match &restrict {
                 Some((j, range)) if *j == position => range.clone(),
                 _ => 0..n_shards,
@@ -463,14 +457,12 @@ pub fn run_partitioned(
             let merges = range
                 .clone()
                 .map(|s| {
-                    IncrementalMerge::for_pattern(
+                    IncrementalMerge::new(
                         shards[s],
-                        pattern,
-                        rules,
-                        cfg,
-                        fresh_base,
+                        Rc::clone(alts),
                         Rc::clone(&exec_caches[s]),
                         shard_caches.and_then(|c| c.get(s)),
+                        cfg.tighten_threshold,
                         Some(totals),
                     )
                 })
@@ -485,11 +477,12 @@ pub fn run_partitioned(
         },
     );
 
-    // No end-fold: per-shard merge work already flowed into the
-    // aggregate at call time (ShardedMerge::with_mass_delta records
-    // into both the shard slot and the passed metrics), so folding the
-    // slots here would double-count it.
+    // The merges counted their work per shard only; fold it into the
+    // aggregate now.
     let per_shard = shard_metrics.borrow().clone();
+    for m in &per_shard {
+        metrics.merge(m);
+    }
     let completeness = tracker.completeness(&answers);
     PartitionedRun {
         answers,
@@ -502,6 +495,7 @@ pub fn run_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::merge::{pattern_alternatives, Alternative};
     use crate::exec::segmented::SegmentedExec;
     use trinit_relax::QPattern;
     use trinit_xkg::XkgBuilder;
@@ -584,27 +578,23 @@ mod tests {
         }
     }
 
+    fn merge_for<'a>(
+        slice: &'a XkgStore,
+        alts: &Rc<[Alternative]>,
+        totals: Option<&'a dyn GlobalTotals>,
+    ) -> IncrementalMerge<'a> {
+        let cache = Rc::new(RefCell::new(PostingCache::new()));
+        IncrementalMerge::new(slice, Rc::clone(alts), cache, None, true, totals)
+    }
+
     fn merges_for<'a>(
         slices: &'a [XkgStore],
-        pattern: &QPattern,
-        rules: &'a RuleSet,
-        cfg: &'a TopkConfig,
+        alts: &Rc<[Alternative]>,
         totals: &'a dyn GlobalTotals,
     ) -> Vec<IncrementalMerge<'a>> {
         slices
             .iter()
-            .map(|s| {
-                IncrementalMerge::for_pattern(
-                    s,
-                    pattern,
-                    rules,
-                    cfg,
-                    8,
-                    Rc::new(RefCell::new(PostingCache::new())),
-                    None,
-                    Some(totals),
-                )
-            })
+            .map(|s| merge_for(s, alts, Some(totals)))
             .collect()
     }
 
@@ -648,21 +638,14 @@ mod tests {
                     trinit_relax::QTerm::Var(trinit_relax::VarId(1)),
                 ),
             ] {
-                let mut reference = merges_for(&slices, &pattern, &rules, &cfg, exec);
+                let alts: Rc<[Alternative]> =
+                    pattern_alternatives(&pattern, &rules, &cfg, &mut 8).into();
+                let mut reference = merges_for(&slices, &alts, exec);
                 let mut ref_metrics = vec![ExecMetrics::default(); n];
-                let mut monolith = IncrementalMerge::for_pattern(
-                    &mono,
-                    &pattern,
-                    &rules,
-                    &cfg,
-                    8,
-                    Rc::new(RefCell::new(PostingCache::new())),
-                    None,
-                    None,
-                );
+                let mut monolith = merge_for(&mono, &alts, None);
                 let heap_metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
                 let mut heap_merge = ShardedMerge::new(
-                    merges_for(&slices, &pattern, &rules, &cfg, exec),
+                    merges_for(&slices, &alts, exec),
                     offsets.clone(),
                     &lookup,
                     (0..n).collect(),
@@ -694,7 +677,7 @@ mod tests {
                                 g.prob.to_bits(),
                                 "{n} shards, emission {emitted}"
                             );
-                            assert_eq!(w.pattern, g.pattern);
+                            assert_eq!(w.alt, g.alt);
                             // The union stream is the monolithic stream,
                             // tied runs included.
                             assert_eq!(
@@ -716,16 +699,11 @@ mod tests {
                 // Identical per-shard work too: the elections visited the
                 // same shards in the same order.
                 assert_eq!(&*heap_metrics.borrow(), &ref_metrics);
-                // Shard-pull attribution: the metrics passed into
-                // `next_merged` receive exactly the union of the
-                // per-shard slots — monolithic and sharded accounting
-                // read the same way, with no work visible only in the
-                // slots.
-                let mut folded = ExecMetrics::default();
-                for m in heap_metrics.borrow().iter() {
-                    folded.merge(m);
-                }
-                assert_eq!(scratch, folded);
+                // Shard-pull attribution: every unit of merge work lands
+                // in the per-shard slots, none in the metrics passed to
+                // `next_merged` — `run_partitioned` folds the slots into
+                // the aggregate once, at the end of the run.
+                assert_eq!(scratch, ExecMetrics::default());
             }
         }
     }

@@ -96,13 +96,13 @@ impl TermId {
 
     /// The raw packed representation (kind tag + index).
     #[inline]
-    pub fn raw(self) -> u32 {
+    pub const fn raw(self) -> u32 {
         self.0
     }
 
     /// Reconstructs a `TermId` from [`TermId::raw`] output.
     #[inline]
-    pub fn from_raw(raw: u32) -> TermId {
+    pub const fn from_raw(raw: u32) -> TermId {
         TermId(raw)
     }
 
