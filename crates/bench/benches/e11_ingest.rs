@@ -3,7 +3,7 @@
 //! A deployed system keeps answering while extraction streams new
 //! facts in. The baseline way to refresh answers after a batch lands
 //! is to rebuild the whole store and re-run the query set; the
-//! segmented store instead appends the batch into its delta segment
+//! store instead appends the batch into its delta segment
 //! (`Trinit::ingest`) and either re-runs queries over base + delta or
 //! asks the semi-naive question directly
 //! (`Trinit::answers_introduced_by` — only answers whose derivation
@@ -16,7 +16,7 @@
 //! - `rebuild` — from-scratch build of base ∪ batch, then the
 //!   full query set (the no-ingestion baseline);
 //! - `ingest_full` — `ingest` the batch, re-run the full query set
-//!   over the segmented store;
+//!   over base + delta;
 //! - `introduced` — `ingest` the batch, run only the delta-restricted
 //!   variants (`answers_introduced_by`).
 //!

@@ -21,6 +21,9 @@ pub struct Completion {
 pub struct Completer {
     // (lowercased text, original text, kind), sorted by lowercased text.
     entries: Vec<(String, String, TermKind)>,
+    /// Dictionary size when indexed. Dictionaries only append, so a
+    /// larger one holds terms this index lacks.
+    indexed: usize,
 }
 
 impl Completer {
@@ -33,7 +36,15 @@ impl Completer {
             .collect();
         entries.sort();
         entries.dedup();
-        Completer { entries }
+        Completer {
+            entries,
+            indexed: store.dict().len(),
+        }
+    }
+
+    /// Size of the dictionary this index was built from.
+    pub(crate) fn indexed_terms(&self) -> usize {
+        self.indexed
     }
 
     /// Number of indexed terms.

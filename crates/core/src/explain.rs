@@ -8,68 +8,7 @@
 use trinit_query::{Answer, Query};
 use trinit_relax::RuleSet;
 use trinit_shard::ShardedStore;
-use trinit_xkg::{GraphTag, Provenance, SegmentedStore, SourceId, TermId, TripleId, XkgStore};
-
-/// What an explanation needs from the graph: term/triple rendering and
-/// provenance, by (possibly global) triple id. Implemented by the
-/// monolithic store, by the segmented store (ids span base then
-/// delta), and by the sharded store (ids span shards then delta
-/// views).
-pub trait ExplainSource {
-    /// Renders a term for display.
-    fn render_term(&self, id: TermId) -> String;
-    /// Renders a triple in `S P O` form.
-    fn render_triple(&self, id: TripleId) -> String;
-    /// Provenance of a triple.
-    fn provenance_of(&self, id: TripleId) -> &Provenance;
-    /// Resolves a source id to its document identifier.
-    fn source(&self, id: SourceId) -> Option<&str>;
-}
-
-impl ExplainSource for XkgStore {
-    fn render_term(&self, id: TermId) -> String {
-        self.display_term(id)
-    }
-    fn render_triple(&self, id: TripleId) -> String {
-        self.display_triple(id)
-    }
-    fn provenance_of(&self, id: TripleId) -> &Provenance {
-        self.provenance(id)
-    }
-    fn source(&self, id: SourceId) -> Option<&str> {
-        self.source_name(id)
-    }
-}
-
-impl ExplainSource for SegmentedStore {
-    fn render_term(&self, id: TermId) -> String {
-        self.display_term(id)
-    }
-    fn render_triple(&self, id: TripleId) -> String {
-        self.display_triple(id)
-    }
-    fn provenance_of(&self, id: TripleId) -> &Provenance {
-        self.provenance(id)
-    }
-    fn source(&self, id: SourceId) -> Option<&str> {
-        self.source_name(id)
-    }
-}
-
-impl ExplainSource for ShardedStore {
-    fn render_term(&self, id: TermId) -> String {
-        self.display_term(id)
-    }
-    fn render_triple(&self, id: TripleId) -> String {
-        self.display_triple(id)
-    }
-    fn provenance_of(&self, id: TripleId) -> &Provenance {
-        self.provenance(id)
-    }
-    fn source(&self, id: SourceId) -> Option<&str> {
-        self.source_name(id)
-    }
-}
+use trinit_xkg::{GraphTag, XkgStore};
 
 /// A structured answer explanation.
 #[derive(Debug, Clone)]
@@ -118,15 +57,10 @@ impl Explanation {
     }
 }
 
-/// Builds the explanation of one answer against a monolithic store.
-pub fn explain(store: &XkgStore, query: &Query, rules: &RuleSet, answer: &Answer) -> Explanation {
-    explain_from(store, query, rules, answer)
-}
-
-/// Builds the explanation of one answer from any [`ExplainSource`] —
-/// the sharded entry point, where derivation ids are global.
-pub fn explain_from(
-    store: &dyn ExplainSource,
+/// Builds the explanation of one answer. Derivation triple ids are the
+/// store's global ids (base shards, then any live delta).
+pub fn explain(
+    store: &ShardedStore,
     query: &Query,
     rules: &RuleSet,
     answer: &Answer,
@@ -137,7 +71,7 @@ pub fn explain_from(
         .map(|(v, t)| {
             let name = query.var_name(*v);
             match t {
-                Some(id) => format!("?{name} = {}", store.render_term(*id)),
+                Some(id) => format!("?{name} = {}", store.display_term(*id)),
                 None => format!("?{name} = (unbound)"),
             }
         })
@@ -147,15 +81,15 @@ pub fn explain_from(
     let mut kg_triples = Vec::new();
     let mut xkg_triples = Vec::new();
     for (_, triple_id) in &answer.derivation.triples {
-        let prov = store.provenance_of(*triple_id);
-        let rendered = store.render_triple(*triple_id);
+        let prov = store.provenance(*triple_id);
+        let rendered = store.display_triple(*triple_id);
         match prov.graph {
             GraphTag::Kg => kg_triples.push(rendered),
             GraphTag::Xkg => {
                 let sources: Vec<&str> = prov
                     .sources
                     .iter()
-                    .filter_map(|s| store.source(*s))
+                    .filter_map(|s| store.source_name(*s))
                     .collect();
                 xkg_triples.push(format!(
                     "{rendered}   [confidence {:.2}, support {}, from {}]",
@@ -329,6 +263,7 @@ mod tests {
         let (answers, _) =
             trinit_query::exec::topk::run(&store, &q, &rules, &TopkConfig::default());
         assert!(!answers.is_empty(), "relaxation must recover Princeton");
+        let store = ShardedStore::from_shards(vec![store]);
         let e = explain(&store, &q, &rules, &answers[0]);
         assert!(e.answer_line.contains("PrincetonUniversity"));
         assert!(!e.kg_triples.is_empty(), "member triple is KG");
@@ -349,6 +284,7 @@ mod tests {
             .build();
         let (answers, _) =
             trinit_query::exec::topk::run(&store, &q, &rules, &TopkConfig::default());
+        let store = ShardedStore::from_shards(vec![store]);
         let e = explain(&store, &q, &rules, &answers[0]);
         assert!(e.rules.is_empty());
         assert!(e.render().contains("exact match"));
@@ -402,7 +338,7 @@ mod tests {
                 rule_weight: 0.8,
             },
         };
-        let e = explain(&store, &q, &rules, &answer);
+        let e = explain(&ShardedStore::from_shards(vec![store]), &q, &rules, &answer);
         assert_eq!(e.rules.len(), 2);
     }
 }

@@ -6,12 +6,12 @@
 //! overlays user rules on the system rule set without mutating the
 //! shared system.
 //!
-//! Each session also owns a bounded LRU [`SharedPostingCache`]:
-//! interactive exploration (the paper's E6 workload) re-issues queries
-//! over the same predicates and entity anchors, so materialized posting
-//! lists are reused across consecutive queries of the session —
-//! [`ExecMetrics::shared_cache_hits`](trinit_query::ExecMetrics) counts
-//! the reuse. Caches are per-session, never shared between users.
+//! Each session also owns a bounded LRU [`SharedPostingCache`] per
+//! store shard: interactive exploration (the paper's E6 workload)
+//! re-issues queries over the same predicates and entity anchors, so
+//! materialized posting lists are reused across consecutive queries of
+//! the session — [`ExecMetrics::shared_cache_hits`](trinit_query::ExecMetrics)
+//! counts the reuse. Caches are per-session, never shared between users.
 
 use trinit_query::{Query, SharedCacheStats, SharedPostingCache};
 use trinit_relax::{Rule, RuleId, RuleSet};
@@ -26,29 +26,21 @@ pub struct Session<'a> {
     system: &'a Trinit,
     rules: RuleSet,
     user_rules: usize,
-    /// The cache serving a monolithic system's queries.
-    posting_cache: SharedPostingCache,
-    /// On a sharded system: one session-owned cache per shard (cached
-    /// lists are shard-specific, so shards never share one). Empty for
-    /// monolithic systems.
-    shard_caches: Vec<SharedPostingCache>,
+    /// One session-owned cache per store shard (cached lists are
+    /// shard-specific, so shards never share one).
+    posting_caches: Vec<SharedPostingCache>,
 }
 
 impl<'a> Session<'a> {
     fn with_rules(system: &'a Trinit, rules: RuleSet) -> Session<'a> {
-        let shard_caches = match system.sharded_store() {
-            Some(sharded) => (0..sharded.shard_count())
-                .map(|_| SharedPostingCache::new(SESSION_CACHE_CAPACITY))
-                .collect(),
-            None => Vec::new(),
-        };
-        Session {
+        let mut session = Session {
             system,
             rules,
             user_rules: 0,
-            posting_cache: SharedPostingCache::new(SESSION_CACHE_CAPACITY),
-            shard_caches,
-        }
+            posting_caches: Vec::new(),
+        };
+        session.set_posting_cache_capacity(SESSION_CACHE_CAPACITY);
+        session
     }
 
     /// Opens a session over a system; starts with the system rule set.
@@ -65,37 +57,27 @@ impl<'a> Session<'a> {
         Session::with_rules(system, RuleSet::new())
     }
 
-    /// Replaces the session posting cache(s) with ones holding
-    /// `capacity` materialized lists (0 disables retention; sharded
-    /// systems get `capacity` per shard). Drops cached lists and
-    /// counters.
+    /// Replaces the session posting caches with ones holding
+    /// `capacity` materialized lists per shard (0 disables retention).
+    /// Drops cached lists and counters.
     pub fn set_posting_cache_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.posting_cache = SharedPostingCache::new(capacity);
-        for cache in &mut self.shard_caches {
-            *cache = SharedPostingCache::new(capacity);
-        }
+        self.posting_caches = (0..self.system.shard_count())
+            .map(|_| SharedPostingCache::new(capacity))
+            .collect();
         self
     }
 
-    /// The session's posting cache (stats, capacity, manual clearing).
-    /// Serves queries on monolithic systems; on sharded systems the
-    /// per-shard caches ([`Session::shard_posting_caches`]) serve
-    /// instead.
-    pub fn posting_cache(&self) -> &SharedPostingCache {
-        &self.posting_cache
-    }
-
-    /// The session's per-shard posting caches (empty on monolithic
-    /// systems).
-    pub fn shard_posting_caches(&self) -> &[SharedPostingCache] {
-        &self.shard_caches
+    /// The session's posting caches, one per store shard (stats,
+    /// capacity, manual clearing).
+    pub fn posting_caches(&self) -> &[SharedPostingCache] {
+        &self.posting_caches
     }
 
     /// Hit/miss/eviction/poison-recovery counters of the session
-    /// posting cache(s), summed across shards on a sharded system.
+    /// posting caches, summed across shards.
     pub fn cache_stats(&self) -> SharedCacheStats {
-        let mut stats = self.posting_cache.stats();
-        for cache in &self.shard_caches {
+        let mut stats = SharedCacheStats::default();
+        for cache in &self.posting_caches {
             let s = cache.stats();
             stats.hits += s.hits;
             stats.misses += s.misses;
@@ -141,38 +123,16 @@ impl<'a> Session<'a> {
     /// scores under a full run. Returns no answers when no delta is
     /// live.
     pub fn answers_introduced_by(&self, query: Query) -> QueryOutcome {
-        if self.system.sharded_store().is_some() {
-            self.system.answers_introduced_by_cached(
-                query,
-                &self.rules,
-                None,
-                Some(&self.shard_caches),
-            )
-        } else {
-            self.system.answers_introduced_by_cached(
-                query,
-                &self.rules,
-                Some(&self.posting_cache),
-                None,
-            )
-        }
+        self.system
+            .answers_introduced_by_cached(query, &self.rules, Some(&self.posting_caches))
     }
 
     /// Runs a compiled query with the session rule set, reusing posting
-    /// lists cached by this session's earlier queries (per-shard caches
-    /// on a sharded system; caches are session-isolated either way).
+    /// lists cached by this session's earlier queries (caches are
+    /// session-isolated).
     pub fn run(&self, query: Query, engine: Engine) -> QueryOutcome {
-        if self.system.sharded_store().is_some() {
-            self.system.run_with_rules_shard_cached(
-                query,
-                engine,
-                &self.rules,
-                Some(&self.shard_caches),
-            )
-        } else {
-            self.system
-                .run_with_rules_cached(query, engine, &self.rules, Some(&self.posting_cache))
-        }
+        self.system
+            .run_with_rules_cached(query, engine, &self.rules, Some(&self.posting_caches))
     }
 }
 
@@ -290,7 +250,7 @@ mod tests {
         session.query(qa).unwrap();
         let stats = session.cache_stats();
         assert!(stats.evictions > 0, "capacity 1 must evict: {stats:?}");
-        assert!(session.posting_cache().len() <= 1);
+        assert!(session.posting_caches()[0].len() <= 1);
     }
 
     #[test]
@@ -323,7 +283,7 @@ mod tests {
         builder.options_mut().shards(3);
         let sys = builder.build();
         let session = Session::new(&sys);
-        assert_eq!(session.shard_posting_caches().len(), 3);
+        assert_eq!(session.posting_caches().len(), 3);
         let q = "?x type person LIMIT 4";
         let first = session.query(q).unwrap();
         let second = session.query(q).unwrap();

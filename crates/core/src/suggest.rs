@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use trinit_query::{Answer, Query};
 use trinit_relax::{QTerm, RuleKind, RuleSet};
 use trinit_shard::ShardedStore;
-use trinit_xkg::{args_pairs, StoreStats, TermId, XkgStore};
+use trinit_xkg::{args_pairs, TermId};
 
 /// One suggestion shown to the user after a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,65 +125,30 @@ fn sorted_overlap(a: &[(TermId, TermId)], b: &[(TermId, TermId)]) -> usize {
 ///
 /// For a token predicate `t`, every resource predicate `r` with
 /// `|args(t) ∩ args(r)| / |args(t)| ≥ min_overlap` is suggested,
-/// strongest overlap first.
+/// strongest overlap first. A predicate's argument set is the sorted
+/// union of every shard's (subject-hash partitioning spreads one
+/// predicate's triples across shards).
 pub fn token_resource_suggestions(
-    store: &XkgStore,
-    query: &Query,
-    cfg: &SuggestConfig,
-) -> Vec<Suggestion> {
-    let stats = StoreStats::compute(store);
-    let predicates = stats.predicates().to_vec();
-    token_resource_from(
-        &|id| store.dict().resolve(id).map(str::to_string),
-        &predicates,
-        &|p| args_pairs(store, p),
-        query,
-        cfg,
-    )
-}
-
-/// The sharded counterpart of [`suggest`]: predicate argument sets are
-/// the sorted union of every shard's (subject-hash partitioning spreads
-/// one predicate's triples across shards, so a single shard's `args(p)`
-/// would miss overlaps).
-pub fn suggest_sharded(
     store: &ShardedStore,
     query: &Query,
-    rules: &RuleSet,
-    answers: &[Answer],
     cfg: &SuggestConfig,
 ) -> Vec<Suggestion> {
-    let mut out = token_resource_from(
-        &|id| store.dict().resolve(id).map(str::to_string),
-        store.predicates(),
-        &|p| {
-            let mut pairs: Vec<(TermId, TermId)> = store
-                .shards()
-                .iter()
-                .flat_map(|shard| args_pairs(shard, p))
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            pairs
-        },
-        query,
-        cfg,
-    );
-    out.extend(rule_invocation_notices(rules, answers));
-    out
-}
-
-/// Backend-independent core of the token → resource heuristic:
-/// `predicates` enumerates the graph's predicates, `args_of` yields a
-/// predicate's sorted, deduplicated `(subject, object)` set, `resolve`
-/// renders term ids.
-fn token_resource_from(
-    resolve: &dyn Fn(TermId) -> Option<String>,
-    predicates: &[TermId],
-    args_of: &dyn Fn(TermId) -> Vec<(TermId, TermId)>,
-    query: &Query,
-    cfg: &SuggestConfig,
-) -> Vec<Suggestion> {
+    let args_of = |p: TermId| {
+        let mut pairs: Vec<(TermId, TermId)> = store
+            .shards()
+            .iter()
+            .flat_map(|shard| args_pairs(shard, p))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    };
+    let resolve = |id: TermId| {
+        store
+            .dict()
+            .resolve(id)
+            .map_or_else(|| "<unknown>".to_string(), str::to_string)
+    };
     let mut out = Vec::new();
 
     // Token predicates appearing in the query.
@@ -202,7 +167,7 @@ fn token_resource_from(
             continue;
         }
         let mut candidates: Vec<(f64, bool, TermId)> = Vec::new();
-        for &rp in predicates {
+        for &rp in store.predicates() {
             if !rp.is_resource() {
                 continue;
             }
@@ -227,8 +192,8 @@ fn token_resource_from(
         candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
         for (frac, inverted, rp) in candidates.into_iter().take(cfg.per_token) {
             out.push(Suggestion::ReplaceToken {
-                token: resolve(tp).unwrap_or_else(|| "<unknown>".to_string()),
-                resource: resolve(rp).unwrap_or_else(|| "<unknown>".to_string()),
+                token: resolve(tp),
+                resource: resolve(rp),
                 overlap: frac,
                 inverted,
             });
@@ -261,7 +226,7 @@ pub fn rule_invocation_notices(rules: &RuleSet, answers: &[Answer]) -> Vec<Sugge
 
 /// All suggestions for a finished query.
 pub fn suggest(
-    store: &XkgStore,
+    store: &ShardedStore,
     query: &Query,
     rules: &RuleSet,
     answers: &[Answer],
@@ -285,7 +250,11 @@ pub fn query_uses_tokens(query: &Query) -> bool {
 mod tests {
     use super::*;
     use trinit_query::QueryBuilder;
-    use trinit_xkg::XkgBuilder;
+    use trinit_xkg::{XkgBuilder, XkgStore};
+
+    fn one_shard(store: XkgStore) -> ShardedStore {
+        ShardedStore::from_shards(vec![store])
+    }
 
     /// Store where the token 'worked at' heavily overlaps `affiliation`.
     fn overlapping_store() -> XkgStore {
@@ -310,7 +279,7 @@ mod tests {
             .pattern_r_t_v("a", "worked at", "y")
             .build();
         let suggestions =
-            token_resource_suggestions(&store, &q, &SuggestConfig::default());
+            token_resource_suggestions(&one_shard(store), &q, &SuggestConfig::default());
         assert!(!suggestions.is_empty());
         match &suggestions[0] {
             Suggestion::ReplaceToken {
@@ -335,7 +304,7 @@ mod tests {
             .pattern_v_r_v("x", "affiliation", "y")
             .build();
         assert!(!query_uses_tokens(&q));
-        assert!(token_resource_suggestions(&store, &q, &SuggestConfig::default()).is_empty());
+        assert!(token_resource_suggestions(&one_shard(store), &q, &SuggestConfig::default()).is_empty());
     }
 
     #[test]
@@ -345,7 +314,7 @@ mod tests {
             .pattern_r_t_v("a", "worked at", "y")
             .build();
         let none = token_resource_suggestions(
-            &store,
+            &one_shard(store),
             &q,
             &SuggestConfig {
                 min_overlap: 1.01,
@@ -374,7 +343,7 @@ mod tests {
             .pattern_r_t_v("S1", "studied under", "y")
             .build();
         let suggestions =
-            token_resource_suggestions(&store, &q, &SuggestConfig::default());
+            token_resource_suggestions(&one_shard(store), &q, &SuggestConfig::default());
         let hit = suggestions.iter().any(|s| matches!(
             s,
             Suggestion::ReplaceToken { resource, inverted: true, .. }

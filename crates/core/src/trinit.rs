@@ -8,25 +8,21 @@
 
 use trinit_obs::{
     now_ns, CacheTally, Counter, Gauge, MetricsRegistry, ObsConfig, QueryTrace, Stage,
-    TraceRecorder,
 };
 use trinit_openie::{Linker, OpenIePipeline, PipelineConfig};
-use trinit_query::exec::segmented::SegmentedExec;
-use trinit_query::exec::sharded::{run_partitioned, PartitionedRun};
 use trinit_query::exec::{exact, expand, topk};
 use trinit_query::{
     Answer, AnswerCollector, BudgetTracker, Completeness, ExecError, ExecMetrics, Query,
     SharedCacheStats, SharedPostingCache, TopkConfig,
 };
 use trinit_relax::{
-    ConditionOracle, CooccurrenceOperator, ExpandOptions, GranularityMinerConfig,
-    GranularityOperator, MinerConfig, OperatorRegistry, ParaphraseGroup, ParaphraseOperator,
-    RelaxationOperator, RuleSet,
+    CooccurrenceOperator, ExpandOptions, GranularityMinerConfig, GranularityOperator, MinerConfig,
+    OperatorRegistry, ParaphraseGroup, ParaphraseOperator, RelaxationOperator, RuleSet,
 };
 use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
 use trinit_worldgen::corpus::generate_corpus;
 use trinit_worldgen::{alias_catalog, project_kg, CorpusConfig, KgConfig, World};
-use trinit_xkg::{GraphTag, SegmentLayout, SegmentedStore, XkgBuilder, XkgStore};
+use trinit_xkg::{GraphTag, SegmentLayout, XkgBuilder, XkgStore};
 
 use crate::complete::{Completer, Completion};
 use crate::explain::Explanation;
@@ -34,14 +30,16 @@ use crate::suggest::{suggest, SuggestConfig, Suggestion};
 
 /// Which execution engine answers a query.
 ///
-/// On a **sharded** system ([`BuildOptions::shards`] > 1) every variant
-/// routes through the partitioned top-k path: `Exact` runs it with an
-/// empty rule set (the same answer set, since top-k without rules
-/// reduces to exact evaluation), and `FullExpansion` runs it with the
-/// full rule set under the [`TopkConfig`] budget — its per-engine work
-/// counters and any budget-sensitive answers are not comparable with
-/// the monolithic expansion baseline, so engine-comparison experiments
-/// should use monolithic builds.
+/// A store with one slice — one shard and no live delta — runs each
+/// variant's own engine on that slice. With more slices (shards, or a
+/// live delta) every variant routes through the cross-slice merge:
+/// `Exact` runs it with an empty rule set (the same answer set, since
+/// top-k without rules reduces to exact evaluation), and
+/// `FullExpansion` runs it with the full rule set under the
+/// [`TopkConfig`] budget — its per-engine work counters and any
+/// budget-sensitive answers are not comparable with the one-slice
+/// expansion baseline, so engine-comparison experiments should use
+/// monolithic builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Exact evaluation, no relaxation (the non-relaxing baseline).
@@ -59,11 +57,12 @@ pub struct QueryOutcome {
     pub query: Query,
     /// Top-k answers, best first.
     pub answers: Vec<Answer>,
-    /// Work counters of the engine — for sharded systems, the aggregate
-    /// over every shard's share of the cross-shard merge.
+    /// Work counters of the engine — for a cross-slice merge, the
+    /// aggregate over every slice's share.
     pub metrics: ExecMetrics,
-    /// Per-shard work breakdown (empty on single-store systems): shard
-    /// `i`'s share of the merge's posting work.
+    /// Per-slice work breakdown of a cross-slice merge (the base shards,
+    /// then any live delta slices); empty when the query ran on the
+    /// store's only slice.
     pub shard_metrics: Vec<ExecMetrics>,
     /// What the ranking is guaranteed to be relative to the exact
     /// engine: [`Completeness::Exact`] unless a budget cutoff or an
@@ -72,11 +71,11 @@ pub struct QueryOutcome {
     /// completion by construction).
     pub completeness: Completeness,
     /// Per-stage execution trace of the run: the enclosing query span,
-    /// the merge span on sharded systems, per-variant spans, windowed
+    /// the merge span of a cross-slice merge, per-variant spans, windowed
     /// pull and election batches, and threshold / cutoff point events.
     /// Empty when tracing is disabled ([`Trinit::set_obs`]) or the
     /// engine ran a non-traced path (`Exact` / `FullExpansion` on a
-    /// frozen monolith).
+    /// single slice).
     pub trace: QueryTrace,
 }
 
@@ -135,8 +134,8 @@ pub struct BuildOptions {
     pub topk: TopkConfig,
     /// Default full-expansion options (baseline engine).
     pub expand: ExpandOptions,
-    /// Number of store shards to build (1 = monolithic store). Set via
-    /// [`BuildOptions::shards`].
+    /// Number of store shards to build (1 = the monolithic store, a
+    /// one-shard store). Set via [`BuildOptions::shards`].
     pub shard_count: usize,
     /// Physical layout of the frozen store segments (`Flat` by default;
     /// `Packed` trades decode work for ~3–4× fewer index bytes with
@@ -167,7 +166,8 @@ impl Default for BuildOptions {
 impl BuildOptions {
     /// Selects a sharded build: the XKG is hash-partitioned by subject
     /// across `n` store shards at build time, queries route through the
-    /// partitioned top-k engine. `n ≤ 1` keeps the monolithic store.
+    /// cross-shard merge. `n ≤ 1` keeps the monolithic (one-shard)
+    /// store.
     pub fn shards(&mut self, n: usize) -> &mut Self {
         self.shard_count = n.max(1);
         self
@@ -264,7 +264,7 @@ impl TrinitBuilder {
     }
 
     /// Builds the system: loads the KG, runs Open IE over the documents,
-    /// freezes the store (monolithic, or hash-partitioned into shards
+    /// freezes the store (one shard, or hash-partitioned into shards
     /// when [`BuildOptions::shards`] selected a sharded build), and
     /// mines the rule set.
     pub fn build(self) -> Trinit {
@@ -299,7 +299,8 @@ impl TrinitBuilder {
         let sharded_builder = (shard_count > 1).then(|| xkg.clone());
         // A sharded build's monolith is transient (mining/completion
         // only) and freezes Flat regardless of the layout option; a
-        // monolithic build's store is kept, so it freezes as configured.
+        // one-shard build keeps it as its shard, so it freezes as
+        // configured.
         let store = match &sharded_builder {
             Some(_) => xkg.build(),
             None => xkg.build_with(self.options.segment_layout),
@@ -341,64 +342,36 @@ impl TrinitBuilder {
             rules: rules.len(),
         };
         let completer = Completer::build(&store);
-        let backend = match sharded_builder {
+        let store = match sharded_builder {
             Some(builder) => {
                 drop(store);
-                Backend::Sharded(Box::new(ShardedStore::build_with(
-                    builder,
-                    shard_count,
-                    self.options.segment_layout,
-                )))
+                ShardedStore::build_with(builder, shard_count, self.options.segment_layout)
             }
-            None => Backend::Single(Box::new(SegmentedStore::new(store))),
+            None => ShardedStore::from_shards(vec![store]),
         };
-        let trinit = Trinit {
-            backend,
-            rules,
-            completer,
-            topk: self.options.topk,
-            expand: self.options.expand,
-            suggest_cfg: SuggestConfig::default(),
-            stats,
-            posting_cache: None,
-            shard_caches: None,
-            registry: MetricsRegistry::new(),
-        };
-        trinit.refresh_gauges();
+        let mut trinit = Trinit::assemble(store, rules, completer, stats);
+        trinit.topk = self.options.topk;
+        trinit.expand = self.options.expand;
         trinit
     }
 }
 
-/// The storage/execution backend of a built system.
-enum Backend {
-    /// One segmented store — a frozen base plus a live-ingestion delta
-    /// segment (empty until [`Trinit::ingest`] runs). While the delta
-    /// is empty every engine runs directly against the frozen base;
-    /// with a live delta, queries serve base ∪ delta through the
-    /// partitioned pipeline (boxed: variant size balance).
-    Single(Box<SegmentedStore>),
-    /// Subject-hash-partitioned shards; queries route through the
-    /// partitioned top-k engine ([`trinit_shard::ShardedExecutor`]).
-    /// Boxed like `Single`: the delta bookkeeping makes the store wide.
-    Sharded(Box<ShardedStore>),
-}
-
-/// A built TriniT system: frozen XKG (monolithic or sharded), mined
+/// A built TriniT system: one store (a frozen base per shard plus a
+/// live-ingestion delta; one shard is the monolithic store), mined
 /// rules, and query surface.
 pub struct Trinit {
-    backend: Backend,
+    store: ShardedStore,
     rules: RuleSet,
     completer: Completer,
     topk: TopkConfig,
     expand: ExpandOptions,
     suggest_cfg: SuggestConfig,
     stats: BuildStats,
-    /// Optional store-level posting cache shared across every query
-    /// answered through this system (see [`Trinit::enable_posting_cache`]).
-    posting_cache: Option<SharedPostingCache>,
-    /// The sharded counterpart: one cache per shard (cached lists hold
-    /// one shard's entries, so shards must never share a cache).
-    shard_caches: Option<Vec<SharedPostingCache>>,
+    /// Optional store-level posting caches shared across every query
+    /// answered through this system, one per shard (a cached list holds
+    /// one shard's entries, so shards never share a cache; see
+    /// [`Trinit::enable_posting_cache`]).
+    posting_caches: Option<Vec<SharedPostingCache>>,
     /// Process-wide metrics: query/answer/completeness counters, store
     /// gauges, latency histograms, and the cache tally dropped sessions
     /// fold in. Shared by every query answered through this system.
@@ -416,36 +389,37 @@ pub(crate) fn cache_tally(stats: SharedCacheStats) -> CacheTally {
 }
 
 impl Trinit {
-    /// Wraps an already-built store and rule set (used by fixtures,
-    /// evaluation ablations, and tests).
-    pub fn from_parts(store: XkgStore, rules: RuleSet) -> Trinit {
-        let completer = Completer::build(&store);
-        let stats = BuildStats {
-            kg_triples: store.len_of(GraphTag::Kg),
-            xkg_triples: store.len_of(GraphTag::Xkg),
-            documents: 0,
-            ingest: Default::default(),
-            rules: rules.len(),
-        };
+    /// A system over `store` with default engine configurations.
+    fn assemble(
+        store: ShardedStore,
+        rules: RuleSet,
+        completer: Completer,
+        stats: BuildStats,
+    ) -> Trinit {
         let trinit = Trinit {
-            backend: Backend::Single(Box::new(SegmentedStore::new(store))),
+            store,
             rules,
             completer,
             topk: TopkConfig::default(),
             expand: ExpandOptions::default(),
             suggest_cfg: SuggestConfig::default(),
             stats,
-            posting_cache: None,
-            shard_caches: None,
+            posting_caches: None,
             registry: MetricsRegistry::new(),
         };
         trinit.refresh_gauges();
         trinit
+    }
+
+    /// Wraps an already-built store and rule set (used by fixtures,
+    /// evaluation ablations, and tests) as a one-shard system.
+    pub fn from_parts(store: XkgStore, rules: RuleSet) -> Trinit {
+        Trinit::from_sharded_parts(ShardedStore::from_shards(vec![store]), rules)
     }
 
     /// Wraps an already-built sharded store and rule set.
     pub fn from_sharded_parts(store: ShardedStore, rules: RuleSet) -> Trinit {
-        let completer = Completer::build(store.shard(0));
+        let completer = Completer::build(store.vocab());
         let stats = BuildStats {
             kg_triples: store.len_of(GraphTag::Kg),
             xkg_triples: store.len_of(GraphTag::Xkg),
@@ -453,70 +427,41 @@ impl Trinit {
             ingest: Default::default(),
             rules: rules.len(),
         };
-        let trinit = Trinit {
-            backend: Backend::Sharded(Box::new(store)),
-            rules,
-            completer,
-            topk: TopkConfig::default(),
-            expand: ExpandOptions::default(),
-            suggest_cfg: SuggestConfig::default(),
-            stats,
-            posting_cache: None,
-            shard_caches: None,
-            registry: MetricsRegistry::new(),
-        };
-        trinit.refresh_gauges();
-        trinit
+        Trinit::assemble(store, rules, completer, stats)
     }
 
-    /// The vocabulary store: the monolith's base (or its delta view
-    /// while an ingested delta is live — a superset dictionary with
-    /// identical ids for shared terms), or the equivalent for a sharded
-    /// system. Every *dictionary-level* operation through this
-    /// reference (parsing, term lookup and display, completion) is
+    /// The vocabulary store: base shard 0, or a delta view while an
+    /// ingested delta is live (a superset dictionary with identical ids
+    /// for shared terms). Every *dictionary-level* operation through
+    /// this reference (parsing, term lookup and display, completion) is
     /// exact; per-triple operations (`triple`, `provenance`, `lookup`)
     /// see only one slice — resolve those through
-    /// [`Trinit::sharded_store`] / [`Trinit::segmented_store`] instead.
+    /// [`Trinit::segmented_store`] / [`Trinit::sharded_store`] instead.
     pub fn store(&self) -> &XkgStore {
-        match &self.backend {
-            Backend::Single(seg) => seg.vocab(),
-            Backend::Sharded(sharded) => sharded.vocab(),
-        }
+        self.store.vocab()
     }
 
-    /// The segmented (base + delta) store of a monolithic system.
-    pub fn segmented_store(&self) -> Option<&SegmentedStore> {
-        match &self.backend {
-            Backend::Single(seg) => Some(seg),
-            Backend::Sharded(_) => None,
-        }
+    /// The store of a one-shard (monolithic) system: a frozen base plus
+    /// the live-ingestion delta.
+    pub fn segmented_store(&self) -> Option<&ShardedStore> {
+        (self.store.shard_count() == 1).then_some(&self.store)
     }
 
-    /// The sharded store backing this system, if it was built with
-    /// [`BuildOptions::shards`] > 1.
+    /// The store of a system built with [`BuildOptions::shards`] > 1.
     pub fn sharded_store(&self) -> Option<&ShardedStore> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
-        }
+        (self.store.shard_count() > 1).then_some(&self.store)
     }
 
     /// The store generation: bumped by every [`Trinit::ingest`] and
     /// [`Trinit::compact`]. Store-level posting caches stamp their
     /// entries with this and drop them when it moves.
     pub fn generation(&self) -> u64 {
-        match &self.backend {
-            Backend::Single(seg) => seg.generation(),
-            Backend::Sharded(sharded) => sharded.generation(),
-        }
+        self.store.generation()
     }
 
     /// True if an ingested, not-yet-compacted delta segment is live.
     pub fn has_delta(&self) -> bool {
-        match &self.backend {
-            Backend::Single(seg) => seg.delta_view().is_some(),
-            Backend::Sharded(sharded) => sharded.has_delta(),
-        }
+        self.store.has_delta()
     }
 
     /// Ingests a batch of triples into the live delta segment: `fill`
@@ -528,16 +473,12 @@ impl Trinit {
     /// next [`Trinit::compact`] (until then the base serves them with
     /// their pre-ingest weight).
     pub fn ingest(&mut self, fill: impl FnOnce(&mut XkgBuilder)) -> usize {
-        let (appended, ingest_ns) = match &mut self.backend {
-            Backend::Single(seg) => (seg.ingest(fill), seg.last_ingest_ns()),
-            Backend::Sharded(sharded) => (sharded.ingest(fill), sharded.last_ingest_ns()),
-        };
-        self.refresh_strata_stats();
+        let appended = self.store.ingest(fill);
+        self.refresh_after_mutation();
         self.registry.incr(Counter::IngestBatches);
+        self.registry.add(Counter::IngestedTriples, appended as u64);
         self.registry
-            .add(Counter::IngestedTriples, appended as u64);
-        self.registry.record_stage(Stage::Ingest, ingest_ns);
-        self.refresh_gauges();
+            .record_stage(Stage::Ingest, self.store.last_ingest_ns());
         appended
     }
 
@@ -546,38 +487,29 @@ impl Trinit {
     /// the delta empties. Answers are identical before and after; only
     /// the serving topology (and triple-id assignment) changes.
     pub fn compact(&mut self) {
-        let compact_ns = match &mut self.backend {
-            Backend::Single(seg) => {
-                seg.compact();
-                seg.last_compact_ns()
-            }
-            Backend::Sharded(sharded) => {
-                sharded.compact();
-                sharded.last_compact_ns()
-            }
-        };
-        self.refresh_strata_stats();
+        self.store.compact();
+        self.refresh_after_mutation();
         self.registry.incr(Counter::Compactions);
-        self.registry.record_stage(Stage::Compact, compact_ns);
-        self.refresh_gauges();
+        self.registry
+            .record_stage(Stage::Compact, self.store.last_compact_ns());
     }
 
-    /// Re-derives the per-stratum triple counts after a mutation.
-    fn refresh_strata_stats(&mut self) {
-        let (kg, xkg) = match &self.backend {
-            Backend::Single(seg) => (seg.len_of(GraphTag::Kg), seg.len_of(GraphTag::Xkg)),
-            Backend::Sharded(s) => (s.len_of(GraphTag::Kg), s.len_of(GraphTag::Xkg)),
-        };
-        self.stats.kg_triples = kg;
-        self.stats.xkg_triples = xkg;
+    /// Re-derives what a mutation moves: the per-stratum triple counts,
+    /// the store gauges, and the completion index — re-indexed only when
+    /// the (append-only) dictionary grew.
+    fn refresh_after_mutation(&mut self) {
+        self.stats.kg_triples = self.store.len_of(GraphTag::Kg);
+        self.stats.xkg_triples = self.store.len_of(GraphTag::Xkg);
+        let vocab = self.store.vocab();
+        if vocab.dict().len() > self.completer.indexed_terms() {
+            self.completer = Completer::build(vocab);
+        }
+        self.refresh_gauges();
     }
 
     /// Number of store shards (1 for a monolithic system).
     pub fn shard_count(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 1,
-            Backend::Sharded(sharded) => sharded.shard_count(),
-        }
+        self.store.shard_count()
     }
 
     /// The system rule set.
@@ -617,13 +549,8 @@ impl Trinit {
     /// caches (never double-counted: system caches fold nothing in).
     pub fn metrics_snapshot(&self) -> String {
         let mut live = CacheTally::default();
-        if let Some(cache) = &self.posting_cache {
+        for cache in self.posting_caches.iter().flatten() {
             live.add(cache_tally(cache.stats()));
-        }
-        if let Some(caches) = &self.shard_caches {
-            for cache in caches {
-                live.add(cache_tally(cache.stats()));
-            }
         }
         self.registry.snapshot(live)
     }
@@ -654,91 +581,51 @@ impl Trinit {
     /// storage-byte accounting (index bytes across every live segment,
     /// and total bytes per triple).
     fn refresh_gauges(&self) {
-        let (generation, delta, total) = match &self.backend {
-            Backend::Single(seg) => (seg.generation(), seg.delta_len(), seg.len()),
-            Backend::Sharded(s) => (s.generation(), s.delta_len(), s.len()),
-        };
-        self.registry.set_gauge(Gauge::StoreGeneration, generation);
-        self.registry.set_gauge(Gauge::DeltaTriples, delta as u64);
-        self.registry.set_gauge(Gauge::StoreTriples, total as u64);
+        let store = &self.store;
+        self.registry
+            .set_gauge(Gauge::StoreGeneration, store.generation());
+        self.registry
+            .set_gauge(Gauge::DeltaTriples, store.delta_len() as u64);
+        self.registry
+            .set_gauge(Gauge::StoreTriples, store.len() as u64);
         let mut index_bytes = 0usize;
         let mut total_bytes = 0usize;
-        let mut tally = |s: &XkgStore| {
-            let b = s.storage_bytes();
+        for slice in store
+            .shards()
+            .iter()
+            .chain(store.delta_slices().map(|(v, _)| v))
+        {
+            let b = slice.storage_bytes();
             index_bytes += b.index_bytes();
             total_bytes += b.total();
-        };
-        match &self.backend {
-            Backend::Single(seg) => {
-                tally(seg.base());
-                if let Some(view) = seg.delta_view() {
-                    tally(view);
-                }
-            }
-            Backend::Sharded(s) => {
-                for shard in s.shards() {
-                    tally(shard);
-                }
-                for (view, _) in s.delta_slices() {
-                    tally(view);
-                }
-            }
         }
-        let bytes_per_triple = if total > 0 {
-            (total_bytes as f64 / total as f64).round() as u64
-        } else {
+        let bytes_per_triple = if store.is_empty() {
             0
+        } else {
+            (total_bytes as f64 / store.len() as f64).round() as u64
         };
         self.registry.set_gauge(Gauge::IndexBytes, index_bytes as u64);
         self.registry.set_gauge(Gauge::BytesPerTriple, bytes_per_triple);
     }
 
-    /// The rule set an engine variant executes with on the sharded
-    /// path: `Exact` runs the partitioned engine with no rules (top-k
-    /// without rules reduces to exact evaluation); the relaxing engines
-    /// use `rules` as given. The single mapping the sharded and
-    /// segmented paths share — `scratch` hosts the empty set for the
-    /// `Exact` case.
-    fn engine_rules<'s>(
-        engine: Engine,
-        rules: &'s RuleSet,
-        scratch: &'s mut Option<RuleSet>,
-    ) -> &'s RuleSet {
-        match engine {
-            Engine::Exact => scratch.insert(RuleSet::new()),
-            Engine::FullExpansion | Engine::IncrementalTopK => rules,
-        }
-    }
-
-    /// Enables the system-level posting cache: a bounded LRU of
-    /// materialized posting lists shared across *every* query answered
-    /// through this system. Sessions carry their own cache (see
-    /// [`crate::Session`]); enable this tier when one system serves many
-    /// queries directly. On a sharded system this provisions one cache
-    /// of `capacity` lists *per shard*. Returns `self` for chaining.
+    /// Enables the system-level posting caches: a bounded LRU of
+    /// materialized posting lists per shard, shared across *every*
+    /// query answered through this system. Sessions carry their own
+    /// caches (see [`crate::Session`]); enable this tier when one system
+    /// serves many queries directly. Each shard's cache holds
+    /// `capacity` lists. Returns `self` for chaining.
     pub fn enable_posting_cache(&mut self, capacity: usize) -> &mut Self {
-        match &self.backend {
-            Backend::Single(_) => self.posting_cache = Some(SharedPostingCache::new(capacity)),
-            Backend::Sharded(sharded) => {
-                self.shard_caches = Some(
-                    (0..sharded.shard_count())
-                        .map(|_| SharedPostingCache::new(capacity))
-                        .collect(),
-                );
-            }
-        }
+        self.posting_caches = Some(
+            (0..self.store.shard_count())
+                .map(|_| SharedPostingCache::new(capacity))
+                .collect(),
+        );
         self
     }
 
-    /// The system-level posting cache, if enabled (monolithic systems).
-    pub fn posting_cache(&self) -> Option<&SharedPostingCache> {
-        self.posting_cache.as_ref()
-    }
-
-    /// The system-level per-shard posting caches, if enabled (sharded
-    /// systems).
-    pub fn shard_posting_caches(&self) -> Option<&[SharedPostingCache]> {
-        self.shard_caches.as_deref()
+    /// The system-level posting caches, one per shard, if enabled.
+    pub fn posting_caches(&self) -> Option<&[SharedPostingCache]> {
+        self.posting_caches.as_deref()
     }
 
     /// Parses a query string against this system's vocabulary.
@@ -760,17 +647,24 @@ impl Trinit {
 
     /// Runs a compiled query with a caller-supplied rule set (sessions
     /// with user-defined rules, evaluation ablations). Consults the
-    /// system-level posting cache if one was enabled.
+    /// system-level posting caches if they were enabled.
     pub fn run_with_rules(&self, query: Query, engine: Engine, rules: &RuleSet) -> QueryOutcome {
-        self.run_with_rules_cached(query, engine, rules, self.posting_cache.as_ref())
+        self.run_with_rules_cached(query, engine, rules, self.posting_caches())
     }
 
-    /// Runs a compiled query with a caller-supplied rule set and an
-    /// explicit store-level posting cache ([`Session`]s pass their own,
-    /// keeping cached lists session-isolated). On a sharded system the
-    /// single cache does not apply (cached lists are shard-specific);
-    /// sharded sessions route per-shard caches through
-    /// [`Trinit::run_with_rules_shard_cached`].
+    /// Runs a compiled query with a caller-supplied rule set and
+    /// caller-owned store-level posting caches, one per shard
+    /// ([`Session`]s pass their own, keeping cached lists
+    /// session-isolated).
+    ///
+    /// A store with one slice — one shard, no live delta — runs the
+    /// chosen engine on that slice. Otherwise every engine routes
+    /// through the cross-slice merge (see [`Engine`]), whose answers
+    /// (keys *and* scores) equal a from-scratch rebuild's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caches` does not hold one cache per shard.
     ///
     /// [`Session`]: crate::Session
     pub fn run_with_rules_cached(
@@ -778,42 +672,53 @@ impl Trinit {
         query: Query,
         engine: Engine,
         rules: &RuleSet,
-        cache: Option<&SharedPostingCache>,
+        caches: Option<&[SharedPostingCache]>,
     ) -> QueryOutcome {
-        let seg = match &self.backend {
-            Backend::Single(seg) => seg,
-            Backend::Sharded(_) => {
-                return self.run_with_rules_shard_cached(
+        let wall_start = now_ns();
+        self.ensure_generation(caches);
+        let outcome = match self.store.single_slice() {
+            Some(slice) => {
+                let cache = caches.and_then(<[SharedPostingCache]>::first);
+                self.run_single(slice, query, engine, rules, cache)
+            }
+            None => {
+                let no_rules;
+                let rules = match engine {
+                    Engine::Exact => {
+                        no_rules = RuleSet::new();
+                        &no_rules
+                    }
+                    Engine::FullExpansion | Engine::IncrementalTopK => rules,
+                };
+                let run = self.executor(caches).run(&query, rules, &self.topk);
+                QueryOutcome {
                     query,
-                    engine,
-                    rules,
-                    self.shard_caches.as_deref(),
-                )
+                    answers: run.answers,
+                    metrics: run.metrics,
+                    shard_metrics: run.per_shard,
+                    completeness: run.completeness,
+                    trace: run.trace,
+                }
             }
         };
-        let wall_start = now_ns();
-        // Cached posting lists embed store-generation-specific scaling;
-        // a stale cache is dropped wholesale before serving.
-        if let Some(cache) = cache {
-            cache.ensure_generation(seg.generation());
-        }
-        if seg.delta_view().is_some() {
-            let outcome = self.run_segmented(seg, query, engine, rules, cache);
-            self.observe_outcome(&outcome, Some(wall_start));
-            return outcome;
-        }
-        let store = seg.base();
+        self.observe_outcome(&outcome, Some(wall_start));
+        outcome
+    }
+
+    /// Answers a query on the store's only slice with the engine's own
+    /// monolithic implementation.
+    fn run_single(
+        &self,
+        slice: &XkgStore,
+        query: Query,
+        engine: Engine,
+        rules: &RuleSet,
+        cache: Option<&SharedPostingCache>,
+    ) -> QueryOutcome {
         let (answers, metrics, completeness, trace) = match engine {
             Engine::Exact => {
                 let mut metrics = ExecMetrics::default();
-                let all = exact::evaluate(
-                    store,
-                    &query,
-                    &query.patterns,
-                    &[],
-                    1.0,
-                    &mut metrics,
-                );
+                let all = exact::evaluate(slice, &query, &query.patterns, &[], 1.0, &mut metrics);
                 let mut collector = AnswerCollector::new();
                 for a in all {
                     collector.offer(a);
@@ -826,97 +731,38 @@ impl Trinit {
                 )
             }
             Engine::FullExpansion => {
-                let (answers, metrics) = expand::run(store, &query, rules, &self.expand);
+                let (answers, metrics) = expand::run(slice, &query, rules, &self.expand);
                 (answers, metrics, Completeness::Exact, QueryTrace::default())
             }
             Engine::IncrementalTopK => {
-                let run = topk::run_governed(store, &query, rules, &self.topk, cache);
+                let run = topk::run_governed(slice, &query, rules, &self.topk, cache);
                 (run.answers, run.metrics, run.completeness, run.trace)
             }
         };
-        let outcome = QueryOutcome {
+        QueryOutcome {
             query,
             answers,
             metrics,
             shard_metrics: Vec::new(),
             completeness,
             trace,
-        };
-        self.observe_outcome(&outcome, Some(wall_start));
-        outcome
+        }
     }
 
-    /// One partitioned run over a monolithic system's live segments
-    /// (base + delta view), optionally restricting one query pattern to
-    /// the delta slice. The caller owns the budget tracker so
-    /// multi-run unions share one budget.
-    #[allow(clippy::too_many_arguments)]
-    fn run_segmented_once(
-        &self,
-        seg: &SegmentedStore,
-        query: &Query,
-        rules: &RuleSet,
-        cache: Option<&SharedPostingCache>,
-        tracker: &BudgetTracker,
-        restrict: Option<usize>,
-        recorder: &mut TraceRecorder,
-    ) -> PartitionedRun {
-        let delta = seg
-            .delta_view()
-            .expect("segmented execution requires a live delta");
-        let base = seg.base();
-        let slices = [base, delta];
-        let offsets = [0u32, base.len() as u32];
-        let exec = SegmentedExec::new(&slices, &offsets);
-        run_partitioned(
-            &slices,
-            &offsets,
-            &exec,
-            &exec,
-            Some(&exec as &dyn ConditionOracle),
-            query,
-            rules,
-            &self.topk,
-            // The store-level cache holds frozen-base lists; the delta
-            // slice (rebuilt every ingest) runs uncached.
-            cache.map(std::slice::from_ref),
-            tracker,
-            restrict.map(|j| (j, 1..2)),
-            recorder,
-        )
+    /// Drops stale entries from caller-owned posting caches: cached
+    /// lists embed generation-specific scaling.
+    fn ensure_generation(&self, caches: Option<&[SharedPostingCache]>) {
+        for cache in caches.into_iter().flatten() {
+            cache.ensure_generation(self.store.generation());
+        }
     }
 
-    /// Answers a query over a monolithic system with a live delta: the
-    /// base and the delta view are two slices of the partitioned
-    /// pipeline, normalized over the union's totals — answers (keys
-    /// *and* scores) equal a from-scratch rebuild's. As on the sharded
-    /// path, every engine routes through the partitioned top-k
-    /// processor: `Exact` runs it with an empty rule set,
-    /// `FullExpansion` with the full set under the [`TopkConfig`]
-    /// budget.
-    fn run_segmented(
-        &self,
-        seg: &SegmentedStore,
-        query: Query,
-        engine: Engine,
-        rules: &RuleSet,
-        cache: Option<&SharedPostingCache>,
-    ) -> QueryOutcome {
-        let mut scratch = None;
-        let rules = Self::engine_rules(engine, rules, &mut scratch);
-        let tracker = BudgetTracker::new(&self.topk);
-        let mut recorder = self.topk.obs.recorder();
-        let query_start = recorder.start();
-        let run =
-            self.run_segmented_once(seg, &query, rules, cache, &tracker, None, &mut recorder);
-        recorder.record(Stage::Query, run.answers.len() as u32, query_start);
-        QueryOutcome {
-            query,
-            answers: run.answers,
-            metrics: run.metrics,
-            shard_metrics: Vec::new(),
-            completeness: run.completeness,
-            trace: recorder.finish(),
+    /// The cross-slice executor over this system's store.
+    fn executor<'a>(&'a self, caches: Option<&'a [SharedPostingCache]>) -> ShardedExecutor<'a> {
+        let executor = ShardedExecutor::new(&self.store);
+        match caches {
+            Some(caches) => executor.with_caches(caches),
+            None => executor,
         }
     }
 
@@ -935,25 +781,23 @@ impl Trinit {
     /// surfaces answers with fresh evidence, the re-query–vs–rebuild
     /// trade the `e11_ingest` benchmark measures.
     pub fn answers_introduced_by(&self, query: Query) -> QueryOutcome {
-        self.answers_introduced_by_cached(
-            query,
-            &self.rules,
-            self.posting_cache.as_ref(),
-            self.shard_caches.as_deref(),
-        )
+        self.answers_introduced_by_cached(query, &self.rules, self.posting_caches())
     }
 
     /// [`Trinit::answers_introduced_by`] with a caller-supplied rule
-    /// set and caller-owned posting caches ([`Session`]s pass their
-    /// session-isolated caches and combined rules).
+    /// set and caller-owned posting caches, one per shard ([`Session`]s
+    /// pass their session-isolated caches and combined rules).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caches` does not hold one cache per shard.
     ///
     /// [`Session`]: crate::Session
     pub fn answers_introduced_by_cached(
         &self,
         query: Query,
         rules: &RuleSet,
-        mono_cache: Option<&SharedPostingCache>,
-        shard_caches: Option<&[SharedPostingCache]>,
+        caches: Option<&[SharedPostingCache]>,
     ) -> QueryOutcome {
         let wall_start = now_ns();
         let tracker = BudgetTracker::new(&self.topk);
@@ -962,79 +806,27 @@ impl Trinit {
         let mut shard_metrics: Vec<ExecMetrics> = Vec::new();
         let mut recorder = self.topk.obs.recorder();
         let query_start = recorder.start();
-        match &self.backend {
-            Backend::Single(seg) => {
-                if seg.delta_view().is_none() {
-                    let outcome = QueryOutcome {
-                        query,
-                        answers: Vec::new(),
-                        metrics,
-                        shard_metrics,
-                        completeness: Completeness::Exact,
-                        trace: recorder.finish(),
-                    };
-                    self.observe_outcome(&outcome, Some(wall_start));
-                    return outcome;
+        if self.store.has_delta() {
+            self.ensure_generation(caches);
+            let executor = self.executor(caches);
+            for j in 0..query.patterns.len() {
+                let run = executor.run_delta_restricted(
+                    &query,
+                    rules,
+                    &self.topk,
+                    j,
+                    &tracker,
+                    &mut recorder,
+                );
+                metrics.merge(&run.metrics);
+                if shard_metrics.len() < run.per_shard.len() {
+                    shard_metrics.resize(run.per_shard.len(), ExecMetrics::default());
                 }
-                if let Some(cache) = mono_cache {
-                    cache.ensure_generation(seg.generation());
+                for (acc, m) in shard_metrics.iter_mut().zip(&run.per_shard) {
+                    acc.merge(m);
                 }
-                for j in 0..query.patterns.len() {
-                    let run = self.run_segmented_once(
-                        seg,
-                        &query,
-                        rules,
-                        mono_cache,
-                        &tracker,
-                        Some(j),
-                        &mut recorder,
-                    );
-                    metrics.merge(&run.metrics);
-                    for a in run.answers {
-                        collector.offer(a);
-                    }
-                }
-            }
-            Backend::Sharded(sharded) => {
-                if !sharded.has_delta() {
-                    let outcome = QueryOutcome {
-                        query,
-                        answers: Vec::new(),
-                        metrics,
-                        shard_metrics,
-                        completeness: Completeness::Exact,
-                        trace: recorder.finish(),
-                    };
-                    self.observe_outcome(&outcome, Some(wall_start));
-                    return outcome;
-                }
-                if let Some(caches) = shard_caches {
-                    for cache in caches {
-                        cache.ensure_generation(sharded.generation());
-                    }
-                }
-                let mut executor = ShardedExecutor::new(sharded);
-                if let Some(caches) = shard_caches {
-                    executor = executor.with_caches(caches);
-                }
-                for j in 0..query.patterns.len() {
-                    let run = executor.run_delta_restricted(&query, rules, &self.topk, j, &tracker);
-                    metrics.merge(&run.metrics);
-                    if shard_metrics.len() < run.per_shard.len() {
-                        shard_metrics.resize(run.per_shard.len(), ExecMetrics::default());
-                    }
-                    for (acc, m) in shard_metrics.iter_mut().zip(&run.per_shard) {
-                        acc.merge(m);
-                    }
-                    // The restricted run finished its own recorder;
-                    // replay its spans so the whole delta pass surfaces
-                    // as one trace on the outcome.
-                    for span in &run.trace.spans {
-                        recorder.record_span(*span);
-                    }
-                    for a in run.answers {
-                        collector.offer(a);
-                    }
+                for a in run.answers {
+                    collector.offer(a);
                 }
             }
         }
@@ -1053,64 +845,13 @@ impl Trinit {
         outcome
     }
 
-    /// Runs a compiled query over the sharded backend with caller-owned
-    /// per-shard posting caches (sharded [`Session`]s pass their own set,
-    /// keeping cached lists session-isolated).
-    ///
-    /// Every engine routes through the partitioned top-k path on a
-    /// sharded system: `Exact` executes it with an empty rule set (no
-    /// relaxation — the same answer set exact evaluation produces), and
-    /// `FullExpansion` executes it with the full rule set (the engines
-    /// are property-tested answer-equal under equivalent rule budgets;
-    /// the sharded path uses the [`TopkConfig`] budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this system was not built with shards.
-    ///
-    /// [`Session`]: crate::Session
-    pub fn run_with_rules_shard_cached(
-        &self,
-        query: Query,
-        engine: Engine,
-        rules: &RuleSet,
-        caches: Option<&[SharedPostingCache]>,
-    ) -> QueryOutcome {
-        let Backend::Sharded(sharded) = &self.backend else {
-            panic!("run_with_rules_shard_cached requires a sharded system");
-        };
-        let mut executor = ShardedExecutor::new(sharded);
-        if let Some(caches) = caches {
-            // Cached posting lists embed generation-specific scaling;
-            // stale caches are dropped wholesale before serving.
-            for cache in caches {
-                cache.ensure_generation(sharded.generation());
-            }
-            executor = executor.with_caches(caches);
-        }
-        let mut scratch = None;
-        let rules = Self::engine_rules(engine, rules, &mut scratch);
-        let wall_start = now_ns();
-        let run = executor.run(&query, rules, &self.topk);
-        let outcome = QueryOutcome {
-            query,
-            answers: run.answers,
-            metrics: run.metrics,
-            shard_metrics: run.per_shard,
-            completeness: run.completeness,
-            trace: run.trace,
-        };
-        self.observe_outcome(&outcome, Some(wall_start));
-        outcome
-    }
-
     /// Executes a batch of independent queries concurrently and returns
     /// their outcomes in input order.
     ///
     /// Every batch runs through one [`QueryPool`] of whole queries, one
-    /// worker per hardware thread on either backend. Each query takes
-    /// the same path as [`Trinit::run`], so answers equal per-query
-    /// runs.
+    /// worker per hardware thread, whatever the shard count. Each query
+    /// takes the same path as [`Trinit::run`], so answers equal
+    /// per-query runs.
     ///
     /// Worker panics are isolated per query: a query whose execution
     /// panicked yields [`ExecError::WorkerPanicked`] in its slot (and
@@ -1145,54 +886,42 @@ impl Trinit {
         results
     }
 
-    /// Explains one answer of an outcome (paper §5, Figure 6). On a
-    /// sharded system, derivation triple ids resolve through the
-    /// sharded store's global id space.
+    /// Explains one answer of an outcome (paper §5, Figure 6).
+    /// Derivation triple ids resolve through the store's global id
+    /// space (base shards, then any live delta).
     pub fn explain(&self, outcome: &QueryOutcome, answer_idx: usize) -> Option<Explanation> {
         let answer = outcome.answers.get(answer_idx)?;
-        Some(match &self.backend {
-            // The segmented store resolves global (base-then-delta)
-            // derivation ids whether or not a delta is live.
-            Backend::Single(seg) => {
-                crate::explain::explain_from(seg.as_ref(), &outcome.query, &self.rules, answer)
-            }
-            Backend::Sharded(sharded) => {
-                crate::explain::explain_from(sharded.as_ref(), &outcome.query, &self.rules, answer)
-            }
-        })
+        Some(crate::explain::explain(
+            &self.store,
+            &outcome.query,
+            &self.rules,
+            answer,
+        ))
     }
 
     /// Renders the internal processing steps of an outcome (paper §5:
     /// "TriniT can show internal steps"). Rendering is dictionary-level,
-    /// so [`Trinit::store`] serves both backends.
+    /// so the vocabulary store ([`Trinit::store`]) serves it.
     pub fn processing_report(&self, outcome: &QueryOutcome) -> String {
         crate::explain::processing_report(self.store(), &self.rules, outcome)
     }
 
-    /// Suggestions for a finished query (paper §5). Sharded systems
-    /// aggregate predicate argument sets across every shard. Computed
-    /// over the frozen base; triples still in a live delta contribute
-    /// after the next [`Trinit::compact`].
+    /// Suggestions for a finished query (paper §5), with predicate
+    /// argument sets aggregated across every shard. Computed over the
+    /// frozen base; triples still in a live delta contribute after the
+    /// next [`Trinit::compact`].
     pub fn suggest(&self, outcome: &QueryOutcome) -> Vec<Suggestion> {
-        match &self.backend {
-            Backend::Single(seg) => suggest(
-                seg.base(),
-                &outcome.query,
-                &self.rules,
-                &outcome.answers,
-                &self.suggest_cfg,
-            ),
-            Backend::Sharded(sharded) => crate::suggest::suggest_sharded(
-                sharded,
-                &outcome.query,
-                &self.rules,
-                &outcome.answers,
-                &self.suggest_cfg,
-            ),
-        }
+        suggest(
+            &self.store,
+            &outcome.query,
+            &self.rules,
+            &outcome.answers,
+            &self.suggest_cfg,
+        )
     }
 
-    /// Auto-completes a term prefix (paper §5).
+    /// Auto-completes a term prefix (paper §5), over every term the
+    /// store knows, ingested ones included.
     pub fn complete(&self, prefix: &str, limit: usize) -> Vec<Completion> {
         self.completer.complete(prefix, limit)
     }
@@ -1289,10 +1018,15 @@ mod tests {
         assert_eq!(sys.shard_count(), 3);
         let sharded = sys.sharded_store().expect("sharded backend");
         assert_eq!(sharded.len(), sys.stats().total_triples());
-        // Monolithic builds stay monolithic.
+        assert!(sys.segmented_store().is_none());
+        // Monolithic builds are one shard.
         let mono = tiny_system();
         assert_eq!(mono.shard_count(), 1);
         assert!(mono.sharded_store().is_none());
+        assert_eq!(
+            mono.segmented_store().map(ShardedStore::shard_count),
+            Some(1)
+        );
     }
 
     fn tiny_packed_system() -> Trinit {
@@ -1309,7 +1043,7 @@ mod tests {
         let packed = tiny_packed_system();
         assert!(packed
             .segmented_store()
-            .is_some_and(|seg| !seg.base().layout().is_flat()));
+            .is_some_and(|store| !store.base().layout().is_flat()));
         for q in ["?x type person LIMIT 5", "?x type university LIMIT 7"] {
             let a = flat.query(q).unwrap();
             let b = packed.query(q).unwrap();
@@ -1442,11 +1176,10 @@ mod tests {
     #[test]
     fn sharded_system_posting_caches_are_per_shard() {
         let mut sys = tiny_sharded_system(2);
-        assert!(sys.shard_posting_caches().is_none());
+        assert!(sys.posting_caches().is_none());
         sys.enable_posting_cache(32);
-        let caches = sys.shard_posting_caches().expect("per-shard caches");
+        let caches = sys.posting_caches().expect("per-shard caches");
         assert_eq!(caches.len(), 2);
-        assert!(sys.posting_cache().is_none(), "single-store tier unused");
         let q = "?x type person LIMIT 4";
         let cold = sys.query(q).unwrap();
         let warm = sys.query(q).unwrap();
@@ -1471,14 +1204,16 @@ mod tests {
         // Without the cache enabled, repeated queries share nothing.
         let plain = sys.query(q).unwrap();
         assert_eq!(sys.query(q).unwrap().metrics.shared_cache_hits, 0);
-        assert!(sys.posting_cache().is_none());
+        assert!(sys.posting_caches().is_none());
 
         sys.enable_posting_cache(64);
         let cold = sys.query(q).unwrap();
         assert_eq!(cold.metrics.shared_cache_hits, 0);
         let warm = sys.query(q).unwrap();
         assert!(warm.metrics.shared_cache_hits > 0);
-        let stats = sys.posting_cache().unwrap().stats();
+        let caches = sys.posting_caches().unwrap();
+        assert_eq!(caches.len(), 1, "one cache for the one shard");
+        let stats = caches[0].stats();
         assert!(stats.hits > 0 && stats.misses > 0);
         // Answers are cache-invisible.
         assert_eq!(plain.answers.len(), warm.answers.len());
@@ -1562,6 +1297,7 @@ mod tests {
         assert_eq!(mono.generation(), 1);
         let got = mono.query(q).unwrap();
         assert_named_answers_eq(&named_answers(&mono, &got), &want);
+        assert_eq!(got.shard_metrics.len(), 2, "base and delta slices merge");
 
         let mut sharded = Trinit::from_sharded_parts(
             ShardedStore::build(kg_builder(BASE_FACTS), 3),
@@ -1639,5 +1375,30 @@ mod tests {
         let after = sharded.query(q).unwrap();
         assert_named_answers_eq(&named_answers(&sharded, &after), &before);
         assert_eq!(sharded.shard_count(), 2, "compaction keeps the topology");
+    }
+
+    /// Terms first interned by an ingest batch complete like built ones,
+    /// before and after compaction, whatever the shard count.
+    #[test]
+    fn completion_sees_ingested_terms() {
+        let systems = [
+            Trinit::from_parts(kg_builder(BASE_FACTS).build(), RuleSet::new()),
+            Trinit::from_sharded_parts(
+                ShardedStore::build(kg_builder(BASE_FACTS), 3),
+                RuleSet::new(),
+            ),
+        ];
+        for mut sys in systems {
+            assert!(sys.complete("zed", 5).is_empty());
+            sys.ingest(|b| {
+                b.add_kg_resources("Zed", "likes", "tea");
+            });
+            let texts = |sys: &Trinit| -> Vec<String> {
+                sys.complete("zed", 5).into_iter().map(|c| c.text).collect()
+            };
+            assert_eq!(texts(&sys), ["Zed"], "after ingest");
+            sys.compact();
+            assert_eq!(texts(&sys), ["Zed"], "after compact");
+        }
     }
 }

@@ -222,11 +222,11 @@ fn sharded_session_runs_preserve_traces() {
     );
     let session = Session::new(&sys);
     let q = sys.parse("?p likes tea LIMIT 10").unwrap();
-    let out = sys.run_with_rules_shard_cached(
+    let out = sys.run_with_rules_cached(
         q,
         Engine::IncrementalTopK,
         session.rules(),
-        Some(session.shard_posting_caches()),
+        Some(session.posting_caches()),
     );
     assert_eq!(out.trace().stage_count(Stage::Query), 1);
     assert_eq!(out.trace().stage_count(Stage::Merge), 1);

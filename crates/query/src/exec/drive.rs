@@ -371,7 +371,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
             let alts: Rc<[Alternative]> =
                 pattern_alternatives(pattern, rules, cfg, &mut fresh_next).into();
             // `i` is the pattern's position in the (variant's) query —
-            // segmented execution uses it to restrict one pattern to the
+            // delta-restricted runs use it to confine one pattern to the
             // delta slices (semi-naive delta queries).
             streams.push(Stream::new(source_for(&alts, i), alts, join_vars));
         }

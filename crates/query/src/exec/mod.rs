@@ -29,7 +29,6 @@ pub mod expand;
 pub mod faults;
 pub mod join;
 pub mod merge;
-pub mod segmented;
 pub mod sharded;
 pub mod threshold;
 pub mod topk;
@@ -51,7 +50,7 @@ pub trait TripleLookup {
     /// compares these ranks when shard heads tie exactly and emits
     /// tied triples in the monolithic order. `None` (the default): the
     /// ranks are the global ids (slices laid out in global-id order,
-    /// e.g. a segmented base then its delta).
+    /// e.g. a one-shard store's base then its delta).
     fn tie_ranks(&self, offset: u32) -> Option<&[u32]> {
         let _ = offset;
         None

@@ -57,11 +57,13 @@
 //! a linear-scan election and to the monolithic merge at 1/2/4/7
 //! shards.
 //!
-//! A slice need not be a subject-hash shard: segmented (base + delta)
-//! stores pass their segments as extra slices, and the `restrict`
-//! parameter of [`run_partitioned`] confines one query pattern to a
-//! sub-range of slices — the seam semi-naive delta queries ("which
-//! answers did this batch introduce?") are built on.
+//! A slice need not be a subject-hash shard: a store with a live
+//! ingestion delta passes its delta views as extra slices after its
+//! base shards (a monolithic store is the one-shard case, so a live
+//! delta makes it two slices), and the `restrict` parameter of
+//! [`run_partitioned`] confines one query pattern to a sub-range of
+//! slices — the seam semi-naive delta queries ("which answers did this
+//! batch introduce?") are built on.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -496,7 +498,7 @@ pub fn run_partitioned(
 mod tests {
     use super::*;
     use crate::exec::merge::{pattern_alternatives, Alternative};
-    use crate::exec::segmented::SegmentedExec;
+    use crate::score::{satisfies_mask, CanonicalPattern};
     use trinit_relax::QPattern;
     use trinit_xkg::XkgBuilder;
 
@@ -552,28 +554,46 @@ mod tests {
         }
     }
 
-    /// Slices of one builder with the tie ranks a sharded store keeps:
-    /// each triple's id in the monolithic store.
+    /// Slices of one builder with the tie ranks a sharded store keeps
+    /// (each triple's id in the monolithic store), resolving global ids
+    /// and scanning cross-slice totals.
     struct Ranked<'a> {
-        exec: SegmentedExec<'a>,
+        slices: &'a [XkgStore],
         offsets: Vec<u32>,
         ranks: Vec<Vec<u32>>,
     }
 
     impl TripleLookup for Ranked<'_> {
         fn triple_of(&self, id: TripleId) -> trinit_xkg::Triple {
-            self.exec.triple_of(id)
+            let i = self.slice_of(id.0);
+            self.slices[i].triple(TripleId(id.0 - self.offsets[i]))
         }
 
         fn tie_ranks(&self, offset: u32) -> Option<&[u32]> {
-            let i = self.offsets.partition_point(|&base| base <= offset) - 1;
-            Some(&self.ranks[i])
+            Some(&self.ranks[self.slice_of(offset)])
+        }
+    }
+
+    impl GlobalTotals for Ranked<'_> {
+        fn pattern_total(&self, &(slot, mask): &CanonicalPattern) -> Option<f64> {
+            let slice_total = |s: &XkgStore| -> f64 {
+                s.lookup(&slot)
+                    .iter()
+                    .filter(|&&id| satisfies_mask(s, id, mask))
+                    .map(|&id| s.provenance(id).weight())
+                    .sum()
+            };
+            Some(self.slices.iter().map(slice_total).sum())
         }
     }
 
     impl Ranked<'_> {
+        fn slice_of(&self, id: u32) -> usize {
+            self.offsets.partition_point(|&base| base <= id) - 1
+        }
+
         fn rank(&self, id: TripleId) -> u32 {
-            let i = self.offsets.partition_point(|&base| base <= id.0) - 1;
+            let i = self.slice_of(id.0);
             self.ranks[i][(id.0 - self.offsets[i]) as usize]
         }
     }
@@ -605,7 +625,6 @@ mod tests {
         let probe = mono.resource("p").unwrap();
         for n in [1usize, 2, 4, 7] {
             let slices = b.clone().build_sharded(n);
-            let refs: Vec<&XkgStore> = slices.iter().collect();
             let mut offsets = Vec::new();
             let mut base = 0u32;
             for s in &slices {
@@ -617,11 +636,11 @@ mod tests {
                 ranks[t.s.shard_of(n)].push(rank);
             }
             let lookup = Ranked {
-                exec: SegmentedExec::new(&refs, &offsets),
+                slices: &slices,
                 offsets: offsets.clone(),
                 ranks,
             };
-            let exec = &lookup.exec;
+            let exec = &lookup;
             let rules = RuleSet::new();
             let cfg = TopkConfig::default();
             // Both shapes the merge serves heavily: predicate-bound and

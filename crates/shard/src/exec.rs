@@ -16,6 +16,9 @@ use trinit_relax::{ConditionOracle, RuleSet};
 
 use crate::store::ShardedStore;
 
+#[cfg(test)]
+mod segmented;
+
 /// The outcome of one sharded execution.
 #[derive(Debug)]
 pub struct ShardedRun {
@@ -90,7 +93,8 @@ impl<'a> ShardedExecutor<'a> {
     /// every answer uses at least one freshly ingested triple for that
     /// pattern, while the other patterns still read the full base ∪
     /// delta union (and scores normalize over the union, so they equal
-    /// a full run's).
+    /// a full run's). Spans go to the caller's `recorder`, which the
+    /// caller finishes; the returned trace is empty.
     ///
     /// # Panics
     ///
@@ -103,15 +107,13 @@ impl<'a> ShardedExecutor<'a> {
         cfg: &TopkConfig,
         position: usize,
         tracker: &BudgetTracker,
+        recorder: &mut TraceRecorder,
     ) -> ShardedRun {
         assert!(
             self.store.has_delta(),
             "delta-restricted run requires a live delta"
         );
-        let mut recorder = cfg.obs.recorder();
-        let mut run = self.merge(query, rules, cfg, tracker, Some(position), &mut recorder);
-        run.trace = recorder.finish();
-        run
+        self.merge(query, rules, cfg, tracker, Some(position), recorder)
     }
 
     /// The merge core: base shards plus any live delta views as extra

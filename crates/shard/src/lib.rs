@@ -1,10 +1,13 @@
-//! # trinit-shard — sharded store and parallel batch execution
+//! # trinit-shard — the store and parallel batch execution
 //!
-//! Scales the TriniT reproduction past one monolithic store: an
-//! [`XkgStore`](trinit_xkg::XkgStore) is hash-partitioned into N
-//! independent shards at build time, queries execute over the shards
-//! through the partitioned top-k engine, and independent queries run
-//! concurrently across a [`QueryPool`] of worker threads.
+//! [`ShardedStore`] is the one store behind a TriniT system: an
+//! [`XkgStore`](trinit_xkg::XkgStore) hash-partitioned into N
+//! independent shards at build time, each a frozen base plus a live
+//! ingestion delta ([`ShardedStore::ingest`], folded back by
+//! [`ShardedStore::compact`]). A monolithic store is the one-shard case.
+//! Queries execute over the slices through the partitioned top-k
+//! engine, and independent queries run concurrently across a
+//! [`QueryPool`] of worker threads.
 //!
 //! ## Partition scheme
 //!
@@ -53,15 +56,20 @@
 //!
 //! [`ShardedExecutor::run`] is one phase: the cross-shard merge. It
 //! is complete and exact on its own, so no per-shard pre-pass runs in
-//! front of it. A single query runs on the calling thread. Batches run
-//! through [`QueryPool::try_execute`], which spends the parallelism
-//! across whole queries and isolates each query's panic in its own
-//! result slot.
+//! front of it. A single query runs on the calling thread. A store
+//! with one slice ([`ShardedStore::single_slice`]: one shard, no live
+//! delta) needs no merge at all; the system facade answers it with the
+//! monolithic engines on that slice. Batches run through
+//! [`QueryPool::try_execute`], which spends the parallelism across
+//! whole queries and isolates each query's panic in its own result
+//! slot.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod exec;
+#[cfg(test)]
+mod segment;
 pub mod store;
 
 pub use exec::{QueryPool, ShardedExecutor, ShardedRun};

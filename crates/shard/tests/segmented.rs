@@ -4,23 +4,21 @@
 //! frozen base plus the freshly ingested delta returns answers
 //! score-equal to rebuilding the whole store from scratch** — on
 //! arbitrary stores and batches, multi-pattern queries, and relaxation
-//! rules, monolithic and at 1/2/4/7 shards — and **compacting the
-//! delta changes nothing** but the serving topology. A second suite
-//! pins the semi-naive delta-query seam: restricted runs surface
-//! exactly the answers that use fresh evidence.
+//! rules, at 1 (the monolithic store), 2, 4 and 7 shards — and
+//! **compacting the delta changes nothing** but the serving topology.
+//! A second suite pins the semi-naive delta-query seam: restricted runs
+//! surface exactly the answers that use fresh evidence.
 
 use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
 
-use trinit_query::exec::segmented::SegmentedExec;
-use trinit_query::exec::sharded::run_partitioned;
 use trinit_query::exec::topk::{self, TopkConfig};
 use trinit_query::{Answer, BudgetTracker, Query};
 use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{ShardedExecutor, ShardedStore};
 use trinit_xkg::{
-    Provenance, SegmentedStore, SlotPattern, SourceId, TermId, TermKind, Triple, XkgBuilder,
+    GraphTag, Provenance, SlotPattern, SourceId, TermId, TermKind, Triple, XkgBuilder,
 };
 
 fn tid(i: u32) -> TermId {
@@ -111,45 +109,12 @@ fn rules_strategy(universe: u32) -> impl Strategy<Value = Vec<Rule>> {
 
 use trinit_shard::testkit::assert_answers_score_equivalent as assert_answers_equivalent;
 
-/// Monolithic segmented execution: the base and the delta view as two
-/// slices of the partitioned pipeline, normalized by [`SegmentedExec`].
-fn run_mono_segmented(
-    seg: &SegmentedStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-) -> Vec<Answer> {
-    let Some(delta) = seg.delta_view() else {
-        return topk::run(seg.base(), query, rules, cfg).0;
-    };
-    let base = seg.base();
-    let slices = [base, delta];
-    let offsets = [0u32, base.len() as u32];
-    let exec = SegmentedExec::new(&slices, &offsets);
-    let tracker = BudgetTracker::new(cfg);
-    run_partitioned(
-        &slices,
-        &offsets,
-        &exec,
-        &exec,
-        Some(&exec as &dyn ConditionOracle),
-        query,
-        rules,
-        cfg,
-        None,
-        &tracker,
-        None,
-        &mut trinit_query::TraceRecorder::off(),
-    )
-    .answers
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Ingest-then-serve ≡ rebuild-from-scratch, monolithic and at
-    /// 1/2/4/7 shards — and compacting the delta preserves the answers
-    /// (key for key on the sharded store).
+    /// Ingest-then-serve ≡ rebuild-from-scratch at 1/2/4/7 shards (one
+    /// shard is the monolithic store) — and compacting the delta
+    /// preserves the answers, key for key.
     #[test]
     fn segmented_serve_equals_from_scratch_rebuild(
         base_rows in store_strategy(6, 30),
@@ -167,17 +132,9 @@ proptest! {
         let query = query_from(patterns, k);
         let (want, _) = topk::run(&union, &query, &set, &cfg);
 
-        // Monolithic segmented store.
-        let mut seg = SegmentedStore::new(builder_from(&base_rows).build());
-        seg.ingest(|b| add_rows(b, &fresh));
-        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want);
-        seg.compact();
-        prop_assert!(seg.delta_view().is_none());
-        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want);
-
-        // Sharded store with live per-shard delta views. Tie ranks
-        // follow the rebuilt store's ids through ingest and compaction,
-        // so the answer keys match exactly, tie groups at the cut too.
+        // Live per-shard delta views. Tie ranks follow the rebuilt
+        // store's ids through ingest and compaction, so the answer keys
+        // match exactly, tie groups at the cut too.
         let keys = |answers: &[Answer]| answers.iter().map(|a| a.key.clone()).collect::<Vec<_>>();
         for shards in [1usize, 2, 4, 7] {
             let mut sharded = ShardedStore::build(builder_from(&base_rows), shards);
@@ -196,8 +153,9 @@ proptest! {
 
     /// The slice union (base shards + delta views) serves exactly the
     /// rebuilt store's match set — triples *and* weights — for all 8
-    /// pattern shapes, and the cross-slice aggregates (`count`,
-    /// `pattern_total`) agree with direct sums over the rebuilt store.
+    /// pattern shapes, with a live delta and again once it is
+    /// compacted, and the cross-slice aggregates (`len`, `len_of`,
+    /// `count`, `pattern_total`) agree with the rebuilt store.
     #[test]
     fn slice_union_matches_rebuild_for_all_shapes(
         base_rows in store_strategy(6, 30),
@@ -211,9 +169,16 @@ proptest! {
         let mut union_rows = base_rows.clone();
         union_rows.extend(fresh.iter().copied());
         let union = builder_from(&union_rows).build();
-        for shards in [1usize, 2, 4, 7] {
+        for (shards, compacted) in [1usize, 2, 4, 7].into_iter().flat_map(|n| [(n, false), (n, true)]) {
             let mut sharded = ShardedStore::build(builder_from(&base_rows), shards);
             sharded.ingest(|b| add_rows(b, &fresh));
+            if compacted {
+                sharded.compact();
+            }
+            prop_assert_eq!(sharded.len(), union.len());
+            for graph in [GraphTag::Kg, GraphTag::Xkg] {
+                prop_assert_eq!(sharded.len_of(graph), union.len_of(graph));
+            }
             for mask in 0u8..8 {
                 let pattern = SlotPattern::new(
                     (mask & 1 != 0).then_some(tid(s)),
@@ -275,7 +240,7 @@ proptest! {
         // k large enough to hold every answer of the tiny universe, so
         // no comparison trips over the k-cut.
         let query = query_from(patterns, 400);
-        for shards in [2usize, 4] {
+        for shards in [1usize, 2, 4] {
             let mut sharded = ShardedStore::build(builder_from(&base_rows), shards);
             sharded.ingest(|b| add_rows(b, &fresh));
             prop_assert!(sharded.has_delta());
@@ -285,7 +250,14 @@ proptest! {
             let mut introduced: BTreeMap<Vec<(VarId, Option<TermId>)>, f64> = BTreeMap::new();
             for j in 0..query.patterns.len() {
                 let tracker = BudgetTracker::new(&cfg);
-                let run = exec.run_delta_restricted(&query, &set, &cfg, j, &tracker);
+                let run = exec.run_delta_restricted(
+                    &query,
+                    &set,
+                    &cfg,
+                    j,
+                    &tracker,
+                    &mut trinit_query::TraceRecorder::off(),
+                );
                 for a in run.answers {
                     prop_assert!(
                         a.derivation.triples.iter().any(|(_, id)| id.0 >= base_total),

@@ -25,6 +25,12 @@
 //!   already-sorted group — no query ever sorts post-build;
 //! * [`stats`] — predicate statistics and the `args(p)` sets used by the
 //!   relaxation miner (paper §3).
+//!
+//! An [`XkgStore`] is frozen at build time. Live ingestion (a frozen base
+//! plus a re-frozen delta, compacted back into the base) is the job of
+//! `trinit-shard`'s `ShardedStore`, whose slices are the stores built
+//! here by [`XkgBuilder::build_sharded`]; a monolithic store is its
+//! one-shard case.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,7 +40,6 @@ pub mod index;
 pub mod pack;
 pub mod pattern;
 pub mod posting;
-pub mod segment;
 pub mod stats;
 pub mod store;
 pub mod term;
@@ -45,7 +50,6 @@ pub use index::MatchIds;
 pub use pack::SegmentLayout;
 pub use pattern::SlotPattern;
 pub use posting::{EntriesRef, Posting, PostingIndex, PostingList, ServeKind, SharedParts};
-pub use segment::SegmentedStore;
 pub use stats::{args_pairs, cardinality, PredicateStats, StorageBytes, StoreStats};
 pub use store::{XkgBuilder, XkgError, XkgStore};
 pub use term::{TermId, TermKind};

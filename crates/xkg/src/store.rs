@@ -73,8 +73,7 @@ impl XkgBuilder {
     /// source table. Every id already issued by the originating store
     /// keeps resolving identically here, and new terms get fresh ids
     /// past the store's — which is what lets a mutable delta segment
-    /// share a frozen base segment's id spaces (see
-    /// [`SegmentedStore`](crate::SegmentedStore)).
+    /// share a frozen base segment's id spaces.
     pub fn with_context(dict: TermDict, sources: &[Box<str>]) -> XkgBuilder {
         let source_lookup = sources
             .iter()
@@ -282,13 +281,17 @@ impl XkgBuilder {
     }
 
     /// Like [`XkgBuilder::build_sharded`], with an explicit
-    /// [`SegmentLayout`] applied to every shard.
+    /// [`SegmentLayout`] applied to every shard. One shard is a plain
+    /// [`XkgBuilder::build_with`]: no partition copy, no build thread.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn build_sharded_with(self, shards: usize, layout: SegmentLayout) -> Vec<XkgStore> {
         assert!(shards > 0, "shard count must be positive");
+        if shards == 1 {
+            return vec![self.build_with(layout)];
+        }
         let dict = Arc::new(self.dict);
         let sources: Arc<[Box<str>]> = self.sources.into();
         let mut parts: Vec<(Vec<Triple>, Vec<Provenance>)> =
